@@ -5,7 +5,8 @@ The projection channel maps a state on [l] to
 (2l+1)/(2(l+j)+1) * P_(l+j) (rho (x) 1_j) P_(l+j), stored directly in the
 |l+j, m> eigenbasis of the image so the output is a (2(l+j)+1)-dimensional
 density matrix. For pure inputs the (2j+1)-dimensional dual Gram matrix has
-the same nonzero spectrum and is the only route used at large j.
+the same nonzero spectrum and is the only route used at large j. Both routes
+read the one closed-form stretched Clebsch-Gordan table in `su2`.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ from .su2 import (
     PureState,
     SphereDirection,
     SpinLabel,
-    cg_twice,
     coupling_isometry,
     generators,
     rotation_matrix,
+    stretched_cg_table,
 )
 
 TENSOR_DIM_GUARD = 40_000
@@ -51,8 +52,8 @@ def projection_channel(rho: DensityMatrix, j: SpinLabel) -> ChannelOutput:
             f"tensor dimension {l.dim * j.dim} exceeds the guard {TENSOR_DIM_GUARD}"
         )
     out_spin = SpinLabel(l.twice_l + j.twice_l)
-    V = coupling_isometry(l, j).reshape(l.dim, j.dim, out_spin.dim)
-    out = np.einsum("ajM,ab,bjN->MN", V.conj(), rho.matrix, V) * (l.dim / out_spin.dim)
+    V = coupling_isometry(l, j)
+    out = V.T @ (rho.matrix @ V.reshape(l.dim, -1)).reshape(V.shape) * (l.dim / out_spin.dim)
     return _as_output(out_spin, out)
 
 
@@ -69,20 +70,13 @@ def apply_kraus(kraus, rho_matrix: np.ndarray) -> np.ndarray:
 
 
 def projection_dual_gram(psi: PureState, j: SpinLabel) -> np.ndarray:
-    """(2j+1)-dimensional dual Gram matrix with the same nonzero spectrum as
-    the primal projection-channel output; built from stretched Clebsch-Gordan
-    coefficients only, so it stays cheap at large j."""
-    tl, tj = psi.spin.twice_l, j.twice_l
-    tL = tl + tj
-    D = tL + 1
-    W = np.zeros((D, j.dim), dtype=complex)
-    for col, tM in enumerate(range(tj, -tj - 1, -2)):
-        for row_l, tm in enumerate(range(tl, -tl - 1, -2)):
-            tK = tm + tM
-            if abs(tK) <= tL:
-                W[(tL - tK) // 2, col] += psi.amplitudes[row_l] * cg_twice(tl, tm, tj, tM, tL, tK)
-    G = (W.conj().T @ W) * ((tl + 1) / D)
-    return G
+    """(2j+1)-dimensional dual Gram matrix with the same nonzero spectrum as the
+    primal output; it reads only the stretched table, so it stays cheap at large j."""
+    T = stretched_cg_table(psi.spin, j)
+    a, b = np.indices(T.shape)
+    W = np.zeros((psi.spin.dim + j.twice_l, j.dim), dtype=complex)  # rows: 2(l+j)+1
+    W[a + b, b] = psi.amplitudes[:, None] * T
+    return (W.conj().T @ W) * (psi.spin.dim / len(W))
 
 
 def projection_entropy(rho: DensityMatrix, j: SpinLabel) -> float:

@@ -11,8 +11,17 @@ Subcommands:
 * ``sun``                symmetric SU(N) channels (clone / prepare /
                          decompose / majorize)
 
-Exit codes: 0 success, 1 usage or parse error, 2 conjecture-scan
-counterexample, 3 resource guard violation.
+Exit codes, each failure with a one-line message on stderr:
+
+* 0 success;
+* 1 usage, parse or input error (a malformed state file, a negative spin or
+  count, ``--modes`` or ``--samples`` below 1, a Renyi order below 1, the
+  angular channel at l = 0);
+* 2 conjecture-scan counterexample;
+* 3 a guard or numerical limit was hit: a resource guard (figure-projection
+  twice_l <= 8 and j <= 100, the optimizer's twice_l <= 8, tensor and output
+  dimensions), a Wehrl quadrature that did not converge within its grid
+  limit, or a measure-and-prepare decomposition above its residual threshold.
 
 State files are either JSON ``{"twice_l": int, "amplitudes": [[re, im], ...]}``
 (m descending) or CSV ``l,m,re,im`` with header, single fixed l. Numbers are
@@ -33,7 +42,7 @@ from math import log
 import numpy as np
 
 from . import channels, entropy, fock, majorize
-from .errors import ResourceGuardError
+from .errors import ConvergenceError, DecompositionError, ResourceGuardError
 from .quadrature import QuadratureSpec
 from .su2 import PureState, SpinLabel, random_pure
 
@@ -60,6 +69,17 @@ def _default_tol() -> float:
     if tol <= 0:
         raise CliError(f"{DEFAULT_TOL_ENV} must be positive")
     return tol
+
+
+def _int_at_least(minimum: int):
+    """argparse type: an integer no smaller than `minimum`."""
+    def integer(text: str) -> int:  # argparse names it in "invalid integer value"
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return integer
 
 
 def _fmt(x: float) -> str:
@@ -165,11 +185,11 @@ def cmd_entropy(args) -> int:
     which = args.which
     results: dict = {"twice_l": l.twice_l, "which": which}
     if which == "wehrl":
-        spec = QuadratureSpec(max(32, 2 * l.twice_l + 2), max(64, 4 * l.twice_l + 4), tol)
-        results["value"] = entropy.wehrl(psi.density(), spec)
+        results["value"] = entropy.wehrl(psi.density(), entropy.starting_spec(l.twice_l, tol))
     elif which == "vonneumann":
         results["value"] = entropy.von_neumann(psi.density())
     elif which == "angular":
+        _require_angular_spin(l)
         g = channels.angular_gram(psi)
         results["value"] = entropy.entropy_of_spectrum(entropy.clamped_spectrum(g))
     elif which.startswith("projection:"):
@@ -182,7 +202,9 @@ def cmd_entropy(args) -> int:
         try:
             n = int(which.split(":", 1)[1])
         except ValueError:
-            raise CliError(f"renyi order must be an integer in {which!r}")
+            n = 0
+        if n < 1:
+            raise CliError(f"renyi order must be a positive integer in {which!r}")
         spec = QuadratureSpec(l.twice_l * n + 1, 2 * l.twice_l * n + 1, tol)
         moment = entropy.renyi_wehrl_moment(psi.density(), n, spec)
         results["moment"] = moment
@@ -201,17 +223,16 @@ def cmd_entropy(args) -> int:
 def cmd_figure_projection(args) -> int:
     l = SpinLabel(args.twice_l)
     if l.twice_l > 8:
-        raise CliError("figure-projection guard: twice_l <= 8")
+        raise ResourceGuardError("figure-projection guard: twice_l <= 8")
     j_labels = [parse_half_integer(tok) for tok in args.j_list.split(",") if tok.strip()]
     for j in j_labels:
         if j.l > 100:
-            raise CliError("figure-projection guard: j <= 100")
+            raise ResourceGuardError("figure-projection guard: j <= 100")
     tol = _default_tol()
     rng = np.random.default_rng(args.seed)
     states = [random_pure(l, rng) for _ in range(args.samples)]
     amp = np.array([s.amplitudes for s in states])
-    s_w = entropy.wehrl_pure_batch(l, amp, QuadratureSpec(
-        max(32, 2 * l.twice_l + 2), max(64, 4 * l.twice_l + 4), tol))
+    s_w = entropy.wehrl_pure_batch(l, amp, entropy.starting_spec(l.twice_l, tol))
     header = ["index", "S_W"]
     for j in j_labels:
         tag = _spin_tag(j)
@@ -239,6 +260,11 @@ def _parse_objective(text: str, for_scan: bool = True):
     raise CliError(f"unknown objective {text!r}")
 
 
+def _require_angular_spin(l: SpinLabel):
+    if l.twice_l < 1:
+        raise CliError("the angular channel needs l >= 1/2")
+
+
 def _coherent_benchmark(l: SpinLabel, objective) -> float:
     if objective == "wehrl":
         return l.twice_l / (l.twice_l + 1)
@@ -256,7 +282,11 @@ def cmd_scan_conjecture(args) -> int:
     t0 = time.perf_counter()
     objective = _parse_objective(args.objective)
     l = SpinLabel(args.twice_l)
-    _, final = majorize._objective_fn(l, objective)
+    if l.twice_l > majorize.OPTIMIZER_MAX_TWICE_L:
+        raise ResourceGuardError(f"optimizer guard: twice_l <= {majorize.OPTIMIZER_MAX_TWICE_L}")
+    if objective == "angular":
+        _require_angular_spin(l)
+    _, final = majorize.objective_fn(l, objective)
     rng = np.random.default_rng(args.seed)
     sample_min = min(final(random_pure(l, rng).amplitudes) for _ in range(args.samples))
     opt = majorize.minimize_entropy(l, objective, restarts=args.restarts, seed=args.seed)
@@ -330,8 +360,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("figure-projection",
                        help="Wehrl vs shifted projection entropies, CSV output")
-    p.add_argument("--twice-l", type=int, required=True)
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--twice-l", type=_int_at_least(0), required=True)
+    p.add_argument("--samples", type=_int_at_least(1), default=200)
     p.add_argument("--j-list", default="1,10,100")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
@@ -339,19 +369,19 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("scan-conjecture", help="minimum-entropy scan vs coherent benchmark")
     p.add_argument("--objective", required=True, help="wehrl | angular | projection:J")
-    p.add_argument("--twice-l", type=int, required=True)
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--twice-l", type=_int_at_least(0), required=True)
+    p.add_argument("--samples", type=_int_at_least(1), default=200)
     p.add_argument("--restarts", type=int, default=16)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_scan_conjecture)
 
     p = sub.add_parser("sun", help="symmetric SU(N) channel runs")
-    p.add_argument("--modes", type=int, required=True)
-    p.add_argument("--bosons", type=int, required=True)
-    p.add_argument("--copies", type=int, required=True)
+    p.add_argument("--modes", type=_int_at_least(1), required=True)
+    p.add_argument("--bosons", type=_int_at_least(0), required=True)
+    p.add_argument("--copies", type=_int_at_least(0), required=True)
     p.add_argument("--mode", choices=["clone", "prepare", "decompose", "majorize"], required=True)
-    p.add_argument("--samples", type=int, default=500)
+    p.add_argument("--samples", type=_int_at_least(1), default=500)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_sun)
@@ -370,6 +400,9 @@ def main(argv=None) -> int:
         return 1
     except ResourceGuardError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
+        return 3
+    except (ConvergenceError, DecompositionError) as exc:
+        print(f"numerical limit: {exc}", file=sys.stderr)
         return 3
 
 

@@ -11,14 +11,14 @@ which keeps the state single-valued in phi. All rotation-invariant outputs
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lgamma, pi
+from math import pi
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .errors import QuadratureOrderError
 from .quadrature import QuadratureSpec, sphere_nodes
-from .su2 import DensityMatrix, PureState, SphereDirection, SpinLabel, geodesic_angle
+from .su2 import DensityMatrix, PureState, SphereDirection, SpinLabel, geodesic_angle, log_binom_sqrt
 
 __all__ = [
     "StellarRoots",
@@ -45,12 +45,6 @@ class StellarRoots:
             raise ValueError(f"expected {self.spin.twice_l} roots, got {len(self.roots)}")
 
 
-def _log_binom_sqrt(twice_l: int) -> np.ndarray:
-    """0.5*log C(2l, l+m) for m descending."""
-    ks = np.arange(twice_l, -1, -1)  # l+m
-    return 0.5 * np.array([lgamma(twice_l + 1) - lgamma(k + 1) - lgamma(twice_l - k + 1) for k in ks])
-
-
 def coherent_state(l: SpinLabel, direction: SphereDirection) -> PureState:
     amps = _amplitudes(l, np.array([direction.theta]), np.array([direction.phi]))[0, 0]
     return PureState(l, amps, normalize=True)
@@ -62,7 +56,7 @@ def _amplitudes(l: SpinLabel, thetas: np.ndarray, phis: np.ndarray) -> np.ndarra
     m2 = np.arange(tl, -tl - 1, -2)
     c = np.cos(thetas / 2)[:, None]
     s = np.sin(thetas / 2)[:, None]
-    radial = np.exp(_log_binom_sqrt(tl))[None, :] * c ** ((tl + m2) / 2) * s ** ((tl - m2) / 2)
+    radial = np.exp(log_binom_sqrt(tl))[None, :] * c ** ((tl + m2) / 2) * s ** ((tl - m2) / 2)
     phase = np.exp(-1j * np.outer(phis, m2 / 2))
     return radial[:, None, :] * phase[None, :, :]
 
@@ -137,7 +131,7 @@ def stellar_roots(psi: PureState) -> StellarRoots:
         raise ValueError("zero state has no stellar representation")
     # coefficients in ascending powers z^0 .. z^(2l)
     signs = (-1.0) ** np.arange(tl, -1, -1)  # (-1)^(l-m) with l+m = 0..2l
-    coefs = signs * np.exp(_log_binom_sqrt(tl))[::-1] * psi.amplitudes[::-1]
+    coefs = signs * np.exp(log_binom_sqrt(tl))[::-1] * psi.amplitudes[::-1]
     scale = np.max(np.abs(coefs))
     coefs = coefs / scale
     # strip numerically vanishing leading coefficients -> south-pole roots
@@ -181,7 +175,7 @@ def state_from_roots(roots: StellarRoots) -> PureState:
     if n_south + len(base) - 1 != tl:
         raise ValueError("inconsistent root multiplicities")
     signs = (-1.0) ** np.arange(tl, -1, -1)
-    amps_asc = coefs / (signs * np.exp(_log_binom_sqrt(tl))[::-1])
+    amps_asc = coefs / (signs * np.exp(log_binom_sqrt(tl))[::-1])
     return PureState(roots.spin, amps_asc[::-1], normalize=True)
 
 

@@ -90,28 +90,28 @@ def _husimi_on_grid(rho: DensityMatrix, V: np.ndarray) -> np.ndarray:
     return np.clip(f, 0.0, 1.0)
 
 
-def _wehrl_fixed(rho: DensityMatrix, spec: QuadratureSpec) -> float:
+def wehrl_fixed(rho: DensityMatrix, spec: QuadratureSpec) -> float:
+    """Wehrl entropy on the one grid `spec`, without refinement."""
     V, w = amplitude_grid(rho.spin, spec)
     f = _husimi_on_grid(rho, V)
     flnf = xlogy(f, f)
     return float(-rho.spin.dim * np.sum(w * flnf))
 
 
-def _starting_spec(twice_l: int, spec: QuadratureSpec | None) -> QuadratureSpec:
-    if spec is not None:
-        return spec
-    return QuadratureSpec(max(32, 2 * twice_l + 2), max(64, 4 * twice_l + 4))
+def starting_spec(twice_l: int, tol: float = QuadratureSpec.tol) -> QuadratureSpec:
+    """First level of the adaptive Wehrl quadrature for spin twice_l/2."""
+    return QuadratureSpec(max(32, 2 * twice_l + 2), max(64, 4 * twice_l + 4), tol)
 
 
 def wehrl(rho: DensityMatrix, spec: QuadratureSpec | None = None) -> float:
     """Wehrl entropy -(2l+1) \\int dOmega/4pi rho(Omega) ln rho(Omega)."""
-    spec = _starting_spec(rho.spin.twice_l, spec)
-    prev = _wehrl_fixed(rho, spec)
+    spec = spec or starting_spec(rho.spin.twice_l)
+    prev = wehrl_fixed(rho, spec)
     while True:
         spec = spec.doubled()
         if spec.n_theta > MAX_N_THETA:
             raise ConvergenceError(f"Wehrl quadrature did not converge below tol={spec.tol}")
-        cur = _wehrl_fixed(rho, spec)
+        cur = wehrl_fixed(rho, spec)
         if abs(cur - prev) < spec.tol:
             return cur
         prev = cur
@@ -134,7 +134,7 @@ def wehrl_pure_batch(l: SpinLabel, amplitudes: np.ndarray,
     budget; states drop out of the loop as soon as they converge."""
     amplitudes = np.asarray(amplitudes, dtype=complex)
     n = len(amplitudes)
-    spec = _starting_spec(l.twice_l, spec)
+    spec = spec or starting_spec(l.twice_l)
 
     def level(s: QuadratureSpec, amps: np.ndarray) -> np.ndarray:
         V, w = amplitude_grid(l, s)

@@ -125,14 +125,9 @@ def cloning_kraus(n_modes: int, n_bosons: int, k: int) -> list[np.ndarray]:
 
 
 def cloning_normalization(n_modes: int, n_bosons: int, k: int) -> float:
-    """Scalar s with sum K^dag K = s * identity (a Schur-lemma consequence);
-    raises if the sum deviates from a multiple of the identity."""
-    kraus = cloning_kraus(n_modes, n_bosons, k)
-    total = sum(K.T.conj() @ K for K in kraus)
-    s = np.trace(total).real / total.shape[0]
-    if np.max(np.abs(total - s * np.eye(total.shape[0]))) > 1e-8 * max(s, 1.0):
-        raise RuntimeError("sum K^dag K is not a multiple of the identity")
-    return float(s)
+    """Scalar s with sum K^dag K = s * identity for `cloning_kraus`:
+    s = k! C(M+N-1+k, k)."""
+    return float(factorial(k) * comb(n_bosons + n_modes - 1 + k, k))
 
 
 def apply_cloning(space: SymmetricSpace, mat: np.ndarray, k: int) -> np.ndarray:

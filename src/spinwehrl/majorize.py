@@ -9,8 +9,10 @@ from scipy.optimize import minimize
 
 from . import channels, entropy
 from .coherent import closest_coherent
-from .quadrature import QuadratureSpec
 from .su2 import PureState, SphereDirection, SpinLabel
+
+#: Largest twice_l `minimize_entropy` accepts; the CLI checks it before sampling.
+OPTIMIZER_MAX_TWICE_L = 8
 
 
 def as_spectrum(values) -> np.ndarray:
@@ -64,13 +66,16 @@ class OptimizationResult:
     coherent_fidelity: float
 
 
-def _objective_fn(l: SpinLabel, objective):
-    """Returns (search_fn, final_fn) mapping amplitude vectors to the entropy."""
+def objective_fn(l: SpinLabel, objective):
+    """Returns (search_fn, final_fn) mapping amplitude vectors to the entropy.
+
+    The Wehrl search runs on the one grid after the adaptive quadrature's
+    starting level; the final value is the adaptive one."""
     if objective == "wehrl":
-        search_spec = QuadratureSpec(max(64, 2 * l.twice_l + 2), max(128, 4 * l.twice_l + 4))
+        search_spec = entropy.starting_spec(l.twice_l).doubled()
 
         def search(psi):
-            return entropy._wehrl_fixed(PureState(l, psi).density(), search_spec)
+            return entropy.wehrl_fixed(PureState(l, psi).density(), search_spec)
 
         def final(psi):
             return entropy.wehrl(PureState(l, psi).density())
@@ -101,9 +106,9 @@ def minimize_entropy(l: SpinLabel, objective, restarts: int = 16, seed: int = 0)
     fixed (restarts, seed) pair is fully deterministic. The winner is the
     lowest value, ties broken by lowest restart index.
     """
-    if l.twice_l > 8:
-        raise ValueError("optimizer guard: twice_l <= 8")
-    search, final = _objective_fn(l, objective)
+    if l.twice_l > OPTIMIZER_MAX_TWICE_L:
+        raise ValueError(f"optimizer guard: twice_l <= {OPTIMIZER_MAX_TWICE_L}")
+    search, final = objective_fn(l, objective)
     d = l.dim
 
     def from_params(x):

@@ -171,9 +171,8 @@ def _lgf(twice_n: int) -> float:
 def cg_twice(tl1: int, tm1: int, tl2: int, tm2: int, tL: int, tM: int) -> float:
     """Clebsch-Gordan coefficient with all arguments as twice-values.
 
-    Racah's single-sum formula evaluated in log space, which stays accurate
-    up to twice_l of a few hundred. For the stretched case tL = tl1 + tl2 the
-    sum has a single term, so there is no cancellation at large spins.
+    The general route behind `clebsch_gordan` and the tests' oracle: Racah's
+    single-sum formula in log space, accurate up to twice_l of a few hundred.
     """
     if tm1 + tm2 != tM:
         return 0.0
@@ -230,6 +229,23 @@ def clebsch_gordan(l1: SpinLabel, l2: SpinLabel, L: SpinLabel, m1, m2, M) -> flo
     return cg_twice(l1.twice_l, tm1, l2.twice_l, tm2, L.twice_l, tM)
 
 
+def log_binom_sqrt(twice_l: int) -> np.ndarray:
+    """0.5*log C(2l, l+m) for m descending."""
+    ks = np.arange(twice_l, -1, -1)  # l+m
+    return 0.5 * np.array([lgamma(twice_l + 1) - lgamma(k + 1) - lgamma(twice_l - k + 1) for k in ks])
+
+
+@lru_cache(maxsize=64)
+def stretched_cg_table(l: SpinLabel, j: SpinLabel) -> np.ndarray:
+    """T[a, b] = <l m_a; j M_b | l+j, m_a+M_b>, m-descending indices (m_a+M_b at a+b), in
+    closed form sqrt(C(2l, l+m) C(2j, j+M) / C(2l+2j, l+j+m+M))."""
+    a, b = np.indices((l.dim, j.dim))
+    T = np.exp(log_binom_sqrt(l.twice_l)[a] + log_binom_sqrt(j.twice_l)[b]
+               - log_binom_sqrt(l.twice_l + j.twice_l)[a + b])
+    T.flags.writeable = False
+    return T
+
+
 @lru_cache(maxsize=64)
 def coupling_isometry(l: SpinLabel, j: SpinLabel) -> np.ndarray:
     """Isometry [l+j] -> [l] (x) [j] whose columns are the |l+j, M> states.
@@ -237,15 +253,10 @@ def coupling_isometry(l: SpinLabel, j: SpinLabel) -> np.ndarray:
     Shape (d_l * d_j, 2(l+j)+1); product-basis row index is i_l * d_j + i_j
     with both factors m-descending, columns are M-descending.
     """
-    tl, tj = l.twice_l, j.twice_l
-    tL = tl + tj
-    V = np.zeros((l.dim * j.dim, tL + 1))
-    for col, tM in enumerate(range(tL, -tL - 1, -2)):
-        for i1, tm1 in enumerate(range(tl, -tl - 1, -2)):
-            tm2 = tM - tm1
-            if abs(tm2) <= tj:
-                i2 = (tj - tm2) // 2
-                V[i1 * j.dim + i2, col] = cg_twice(tl, tm1, tj, tm2, tL, tM)
+    T = stretched_cg_table(l, j)
+    a, b = np.indices(T.shape)
+    V = np.zeros((T.size, l.twice_l + j.twice_l + 1))
+    V[np.arange(T.size), (a + b).ravel()] = T.ravel()
     V.flags.writeable = False
     return V
 

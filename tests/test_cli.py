@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from spinwehrl import entropy, fock
 from spinwehrl.cli import CliError, load_state_file, main, parse_half_integer
 from spinwehrl.coherent import coherent_state
+from spinwehrl.errors import DecompositionError
 from spinwehrl.su2 import SphereDirection, SpinLabel
 
 
@@ -148,3 +150,34 @@ def test_csv_state_error_reports_line(tmp_path):
     with pytest.raises(CliError) as err:
         load_state_file(str(p))
     assert "line 3" in str(err.value)
+
+
+def _failed_fit(*args, **kwargs):
+    raise DecompositionError("decomposition residual 1e-3 exceeds 1e-9")
+
+
+@pytest.mark.parametrize("argv,code,patch", [
+    (["figure-projection", "--twice-l", "-1"], 1, None),
+    (["figure-projection", "--twice-l", "2", "--samples", "-1"], 1, None),
+    (["figure-projection", "--twice-l", "9"], 3, None),
+    (["figure-projection", "--twice-l", "2", "--j-list", "101"], 3, None),
+    (["scan-conjecture", "--objective", "wehrl", "--twice-l", "-2"], 1, None),
+    (["scan-conjecture", "--objective", "wehrl", "--twice-l", "2", "--samples", "0"], 1, None),
+    (["scan-conjecture", "--objective", "angular", "--twice-l", "0"], 1, None),
+    # the optimizer limit is checked before any sample is drawn
+    (["scan-conjecture", "--objective", "wehrl", "--twice-l", "9"], 3, None),
+    (["sun", "--modes", "0", "--bosons", "1", "--copies", "1", "--mode", "clone"], 1, None),
+    (["sun", "--modes", "2", "--bosons", "-1", "--copies", "1", "--mode", "clone"], 1, None),
+    (["sun", "--modes", "2", "--bosons", "1", "--copies", "-1", "--mode", "majorize"], 1, None),
+    (["figure-projection", "--twice-l", "2", "--samples", "2", "--j-list", "1"], 3,
+     (entropy, "MAX_N_THETA", 32)),
+    (["sun", "--modes", "2", "--bosons", "1", "--copies", "1", "--mode", "decompose"], 3,
+     (fock, "decompose_measure_prepare", _failed_fit)),
+])
+def test_error_exit_codes(argv, code, patch, monkeypatch, capsys):
+    if patch is not None:
+        monkeypatch.setattr(*patch)
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1

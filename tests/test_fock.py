@@ -70,7 +70,8 @@ def test_coherent_condensate_amplitudes():
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("n_modes,m,k", [(2, 1, 1), (2, 2, 1), (2, 2, 2), (3, 2, 1), (3, 2, 2)])
+@pytest.mark.parametrize("n_modes,m,k", [(2, 1, 1), (2, 2, 1), (2, 2, 2), (3, 2, 1), (3, 2, 2),
+                                         (4, 3, 3), (3, 4, 4)])
 def test_cloning_kraus_completeness(n_modes, m, k):
     kraus = cloning_kraus(n_modes, m, k)
     s = cloning_normalization(n_modes, m, k)

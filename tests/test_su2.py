@@ -14,6 +14,7 @@ from spinwehrl.su2 import (
     random_pure,
     rotate,
     rotation_matrix,
+    stretched_cg_table,
     symmetric_projector,
 )
 
@@ -116,6 +117,31 @@ def test_cg_against_sympy():
         expected = float(sym_cg(Rational(tl1, 2), Rational(tl2, 2), Rational(tL, 2),
                                 Rational(tm1, 2), Rational(tm2, 2), Rational(tm1 + tm2, 2)))
         assert cg_twice(int(tl1), tm1, int(tl2), tm2, tL, tm1 + tm2) == pytest.approx(expected, abs=1e-13)
+
+
+def racah_coupling_isometry(tl, tj):
+    """Reference coupling isometry [l+j] -> [l] (x) [j], entry by entry from
+    the general Racah sum."""
+    tL = tl + tj
+    V = np.zeros(((tl + 1) * (tj + 1), tL + 1))
+    for col, tM in enumerate(range(tL, -tL - 1, -2)):
+        for i1, tm1 in enumerate(range(tl, -tl - 1, -2)):
+            tm2 = tM - tm1
+            if abs(tm2) <= tj:
+                V[i1 * (tj + 1) + (tj - tm2) // 2, col] = cg_twice(tl, tm1, tj, tm2, tL, tM)
+    return V
+
+
+@pytest.mark.parametrize("tj", [*range(17), 40, 100, 200])
+def test_stretched_table_and_isometry_match_racah(tj):
+    j = SpinLabel(tj)
+    for tl in range(17):
+        l = SpinLabel(tl)
+        ref = racah_coupling_isometry(tl, tj)
+        assert np.max(np.abs(coupling_isometry(l, j) - ref)) < 1e-12
+        a, b = np.indices((l.dim, j.dim))
+        table = ref[a * j.dim + b, a + b]  # <l m_a; j M_b | l+j, m_a+M_b>
+        assert np.max(np.abs(stretched_cg_table(l, j) - table)) < 1e-12
 
 
 @pytest.mark.parametrize("tl,tj", [(1, 1), (2, 1), (3, 2), (4, 4)])
