@@ -33,6 +33,7 @@ from .entropy import (
     von_neumann,
     wehrl,
     wehrl_closed,
+    wehrl_pure,
     wehrl_pure_batch,
 )
 from .channels import (

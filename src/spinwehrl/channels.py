@@ -108,6 +108,8 @@ def angular_gram(psi: PureState) -> np.ndarray:
     """3x3 Gram matrix G_ij = <psi|L_i L_j|psi> / (l(l+1)); PSD with the same
     nonzero spectrum as the angular-channel output."""
     l = psi.spin
+    if l.twice_l < 1:
+        raise ValueError("angular channel needs l >= 1/2")
     _, _, _, L1, L2, L3 = generators(l)
     vs = [Li @ psi.amplitudes for Li in (L1, L2, L3)]
     G = np.array([[np.vdot(vi, vj) for vj in vs] for vi in vs])

@@ -185,7 +185,7 @@ def cmd_entropy(args) -> int:
     which = args.which
     results: dict = {"twice_l": l.twice_l, "which": which}
     if which == "wehrl":
-        results["value"] = entropy.wehrl(psi.density(), entropy.starting_spec(l.twice_l, tol))
+        results["value"] = entropy.wehrl_pure(psi, entropy.starting_spec(l.twice_l, tol))
     elif which == "vonneumann":
         results["value"] = entropy.von_neumann(psi.density())
     elif which == "angular":

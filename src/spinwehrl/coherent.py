@@ -28,6 +28,7 @@ __all__ = [
     "overlap_sq",
     "completeness_defect",
     "stellar_roots",
+    "husimi_zeros",
     "state_from_roots",
     "closest_coherent",
 ]
@@ -119,30 +120,70 @@ def _root_to_direction(z: complex) -> SphereDirection:
     return SphereDirection(2 * np.arctan(abs(z)), float(np.angle(z)))
 
 
+def _majorana_coefficients(l: SpinLabel, amplitudes: np.ndarray):
+    """Ascending coefficients of each state's Majorana polynomial (rows of
+    `amplitudes` are states), scaled to unit maximum modulus, and the degrees
+    left once numerically vanishing (below 1e-13) leading coefficients are
+    dropped."""
+    tl = l.twice_l
+    signs = (-1.0) ** np.arange(tl, -1, -1)  # (-1)^(l-m) with l+m = 0..2l
+    coefs = signs * np.exp(log_binom_sqrt(tl))[::-1] * np.asarray(amplitudes)[:, ::-1]
+    scale = np.max(np.abs(coefs), axis=1, keepdims=True)
+    if np.any(scale == 0):
+        raise ValueError("zero state has no stellar representation")
+    coefs = coefs / scale
+    return coefs, tl - np.argmax(np.abs(coefs[:, ::-1]) >= 1e-13, axis=1)
+
+
+def _majorana_roots(coefs: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+    """Roots of the polynomials from `_majorana_coefficients` in the
+    stereographic chart z = tan(theta/2) e^(i phi), shape (n, 2l).
+
+    Degree deficiency contributes roots at the south pole, z = inf, listed
+    last. Rows of one degree share a stacked companion-matrix eigensolve. The
+    roots are left unpolished: they are the exact roots of a polynomial within
+    rounding of the input even where they cluster, which a per-root Newton
+    step breaks (a coherent state at twice_l = 4 then misses its Husimi
+    function by 6e-7 instead of 8e-16).
+    """
+    roots = np.full((len(coefs), coefs.shape[1] - 1), np.inf, dtype=complex)
+    for deg in np.unique(degrees[degrees > 0]):
+        rows = np.flatnonzero(degrees == deg)
+        asc = coefs[rows, : deg + 1]
+        companion = np.zeros((len(rows), deg, deg), dtype=complex)
+        companion[:, 0, :] = -asc[:, deg - 1::-1] / asc[:, deg:]
+        companion[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
+        roots[rows, :deg] = np.linalg.eigvals(companion)
+    return roots
+
+
 def stellar_roots(psi: PureState) -> StellarRoots:
-    """Majorana roots of a pure state.
+    """Majorana roots of a pure state as Bloch-sphere points.
 
     The polynomial has coefficient (-1)^(l-m) C(2l,l+m)^(1/2) a_m at z^(l+m);
-    degree deficiency (vanishing leading coefficients) contributes roots at
-    the south pole.
+    each finite root is refined by one Newton step, and degree deficiency
+    contributes roots at the south pole.
     """
-    tl = psi.spin.twice_l
-    if np.linalg.norm(psi.amplitudes) == 0:
-        raise ValueError("zero state has no stellar representation")
-    # coefficients in ascending powers z^0 .. z^(2l)
-    signs = (-1.0) ** np.arange(tl, -1, -1)  # (-1)^(l-m) with l+m = 0..2l
-    coefs = signs * np.exp(log_binom_sqrt(tl))[::-1] * psi.amplitudes[::-1]
-    scale = np.max(np.abs(coefs))
-    coefs = coefs / scale
-    # strip numerically vanishing leading coefficients -> south-pole roots
-    deg = tl
-    while deg > 0 and abs(coefs[deg]) < 1e-13:
-        deg -= 1
-    finite = np.roots(coefs[deg::-1]) if deg > 0 else np.array([])
-    finite = _newton_polish(coefs[: deg + 1], finite)
-    dirs = [_root_to_direction(z) for z in finite]
-    dirs += [SphereDirection(pi, 0.0)] * (tl - deg)
-    return StellarRoots(psi.spin, tuple(dirs))
+    coefs, degrees = _majorana_coefficients(psi.spin, psi.amplitudes[None])
+    roots = _majorana_roots(coefs, degrees)[0]
+    deg = degrees[0]
+    roots[:deg] = _newton_polish(coefs[0, : deg + 1], roots[:deg])
+    return StellarRoots(psi.spin, tuple(_root_to_direction(z) for z in roots))
+
+
+def husimi_zeros(l: SpinLabel, amplitudes: np.ndarray) -> np.ndarray:
+    """Unit vectors of the 2l zeros of each state's Husimi function, shape
+    (n, 2l, 3): the antipodes of the Majorana roots; rows of `amplitudes` are
+    states."""
+    z = _majorana_roots(*_majorana_coefficients(l, amplitudes))
+    # the root at z has Bloch vector (2z, 1 - |z|^2) / (1 + |z|^2); outside
+    # the unit disc it is written in u = 1/z, so that z = inf is u = 0
+    outside = np.abs(z) > 1
+    u = np.where(outside, 1 / np.where(outside, z, 1), z)
+    s = np.abs(u) ** 2
+    xy = 2 * np.where(outside, u.conj(), u) / (1 + s)
+    height = np.where(outside, s - 1, 1 - s) / (1 + s)
+    return -np.stack([xy.real, xy.imag, height], axis=-1)
 
 
 def _newton_polish(asc_coefs: np.ndarray, roots: np.ndarray) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Entropy functionals: von Neumann, POVM, Wehrl, closed forms, Renyi moments.
 
-The Wehrl integral is evaluated by Gauss-Legendre x uniform-phi quadrature
-with node doubling until successive values agree to the requested tolerance.
+Pure-state Wehrl entropies are exact, from the zeros of the Husimi function.
+The mixed-state Wehrl integral, also the pure route's oracle, is evaluated by
+Gauss-Legendre x uniform-phi quadrature with node doubling until successive
+values agree to the requested tolerance.
 Integer Renyi moments are polynomial integrands, so they are integrated
 exactly at a quadrature order derived from the degree; the same moments are
 also available through projection onto the maximum-spin part of rho^(x)n,
@@ -16,9 +18,9 @@ from math import log
 import numpy as np
 from scipy.special import xlogy
 
-from .coherent import amplitude_grid, stellar_roots
+from .coherent import amplitude_grid, husimi_zeros, stellar_roots
 from .errors import ConvergenceError, QuadratureOrderError, ResourceGuardError
-from .quadrature import QuadratureSpec
+from .quadrature import QuadratureSpec, sphere_points
 from .su2 import (
     EIGENVALUE_CLAMP,
     DensityMatrix,
@@ -37,6 +39,11 @@ from .su2 import (
 CHORDAL_SCALE = 1.0
 
 MAX_N_THETA = 4096
+#: Largest amplitude array, in bytes, one adaptive quadrature level may build.
+MAX_GRID_BYTES = 512 * 2 ** 20
+#: Largest max |f - K prod_i (1 - n.z_i)/2| on the exact grid that keeps a
+#: pure state on the root formula; beyond it the state takes the quadrature.
+EXACT_RESIDUAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -94,8 +101,7 @@ def wehrl_fixed(rho: DensityMatrix, spec: QuadratureSpec) -> float:
     """Wehrl entropy on the one grid `spec`, without refinement."""
     V, w = amplitude_grid(rho.spin, spec)
     f = _husimi_on_grid(rho, V)
-    flnf = xlogy(f, f)
-    return float(-rho.spin.dim * np.sum(w * flnf))
+    return float(-rho.spin.dim * np.sum(w * xlogy(f, f)))
 
 
 def starting_spec(twice_l: int, tol: float = QuadratureSpec.tol) -> QuadratureSpec:
@@ -104,60 +110,53 @@ def starting_spec(twice_l: int, tol: float = QuadratureSpec.tol) -> QuadratureSp
 
 
 def wehrl(rho: DensityMatrix, spec: QuadratureSpec | None = None) -> float:
-    """Wehrl entropy -(2l+1) \\int dOmega/4pi rho(Omega) ln rho(Omega)."""
+    """Wehrl entropy -(2l+1) \\int dOmega/4pi rho(Omega) ln rho(Omega) by node
+    doubling until two levels agree to spec.tol. ConvergenceError, with the
+    last difference and grid, comes before a level would pass MAX_N_THETA or
+    MAX_GRID_BYTES of complex amplitudes."""
     spec = spec or starting_spec(rho.spin.twice_l)
-    prev = wehrl_fixed(rho, spec)
-    while True:
-        spec = spec.doubled()
-        if spec.n_theta > MAX_N_THETA:
-            raise ConvergenceError(f"Wehrl quadrature did not converge below tol={spec.tol}")
+    prev, diff, last = np.inf, np.inf, None
+    amplitude_bytes = rho.spin.dim * np.dtype(complex).itemsize  # per grid node
+    while spec.n_theta <= MAX_N_THETA and spec.n_theta * spec.n_phi * amplitude_bytes <= MAX_GRID_BYTES:
         cur = wehrl_fixed(rho, spec)
-        if abs(cur - prev) < spec.tol:
+        diff, prev = abs(cur - prev), cur
+        if diff < spec.tol:
             return cur
-        prev = cur
+        last, spec = spec, spec.doubled()
+    raise ConvergenceError(f"Wehrl quadrature did not converge below tol={spec.tol}: last difference "
+                           f"{diff:.3g} on {last}, next level over the grid limit", diff, last)
 
 
 def wehrl_pure(psi: PureState, spec: QuadratureSpec | None = None) -> float:
-    return wehrl(psi.density(), spec)
-
-
-_BATCH_NODE_BUDGET = 32 * 2 ** 20  # max grid-nodes x states processed at once
+    return float(wehrl_pure_batch(psi.spin, psi.amplitudes[None], spec)[0])
 
 
 def wehrl_pure_batch(l: SpinLabel, amplitudes: np.ndarray,
                      spec: QuadratureSpec | None = None) -> np.ndarray:
-    """Wehrl entropies of many pure states at once; rows of `amplitudes` are
-    unit vectors.
+    """Exact Wehrl entropies of pure states, the rows of `amplitudes`.
 
-    Each doubling level builds its grid once and streams all not-yet-converged
-    states through it in column blocks sized to a fixed node-times-states
-    budget; states drop out of the loop as soon as they converge."""
+    f(n) = K prod_i (1 - n.z_i)/2 over the 2l Husimi zeros z_i (C. T. Lee, J.
+    Phys. A 21 (1988) 3749), so S_W = -ln K - (2l+1) sum_i \\int dOmega/4pi
+    f G(n.z_i): by Funk-Hecke, ln((1 - t)/2) may be cut to G(t) = sum_k<=2l
+    lambda_k (2k+1) P_k(t), lambda_0 = -1, lambda_k = -1/(k(k+1)). The degree-4l
+    integrand is exact on the (2l+1) x (4l+1) grid, where K normalizes the
+    product. A state whose product misses f there by EXACT_RESIDUAL_TOL or
+    more takes `wehrl(rho, spec)` instead."""
     amplitudes = np.asarray(amplitudes, dtype=complex)
-    n = len(amplitudes)
-    spec = spec or starting_spec(l.twice_l)
-
-    def level(s: QuadratureSpec, amps: np.ndarray) -> np.ndarray:
-        V, w = amplitude_grid(l, s)
-        block = max(1, _BATCH_NODE_BUDGET // len(w))
-        vals = np.empty(len(amps))
-        for i in range(0, len(amps), block):
-            f = np.abs(V.conj() @ amps[i:i + block].T) ** 2  # (nodes, block)
-            vals[i:i + block] = -l.dim * (w @ xlogy(f, f))
-        return vals
-
-    prev = level(spec, amplitudes)
-    result = np.empty(n)
-    alive = np.arange(n)
-    while alive.size:
-        spec = spec.doubled()
-        if spec.n_theta > MAX_N_THETA:
-            raise ConvergenceError(f"Wehrl quadrature did not converge below tol={spec.tol}")
-        cur = level(spec, amplitudes[alive])
-        done = np.abs(cur - prev[alive]) < spec.tol
-        result[alive[done]] = cur[done]
-        prev[alive] = cur
-        alive = alive[~done]
-    return result
+    exact = QuadratureSpec(l.twice_l + 1, 2 * l.twice_l + 1)
+    V, w = amplitude_grid(l, exact)
+    f = np.abs(amplitudes @ V.conj().T) ** 2  # (states, nodes)
+    t = husimi_zeros(l, amplitudes) @ sphere_points(exact).T  # (states, 2l, nodes)
+    product = np.prod((1 - t) / 2, axis=1)
+    K = 1 / (l.dim * product @ w)
+    residual = np.max(np.abs(f - K[:, None] * product), axis=1)
+    k = np.arange(l.twice_l + 1)
+    kernel = -(2 * k + 1) / np.maximum(k * (k + 1), 1)  # lambda_k (2k+1)
+    G = np.polynomial.legendre.legval(t, kernel)
+    values = -np.log(K) - l.dim * np.einsum("sn,sin,n->s", f, G, w)
+    for i in np.flatnonzero(~(residual < EXACT_RESIDUAL_TOL)):
+        values[i] = wehrl(PureState(l, amplitudes[i], normalize=True).density(), spec)
+    return values
 
 
 def chordal_sq(a: SphereDirection, b: SphereDirection) -> float:

@@ -10,7 +10,14 @@ class ResourceGuardError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """Adaptive refinement failed to reach the requested tolerance."""
+    """Adaptive refinement failed to reach the requested tolerance; carries
+    the last successive difference (inf before two levels) and the last grid
+    evaluated (None before one)."""
+
+    def __init__(self, message: str, last_difference=None, last_spec=None):
+        super().__init__(message)
+        self.last_difference = last_difference
+        self.last_spec = last_spec
 
 
 class DecompositionError(RuntimeError):

@@ -70,7 +70,7 @@ def objective_fn(l: SpinLabel, objective):
     """Returns (search_fn, final_fn) mapping amplitude vectors to the entropy.
 
     The Wehrl search runs on the one grid after the adaptive quadrature's
-    starting level; the final value is the adaptive one."""
+    starting level; the final value is the exact pure-state one."""
     if objective == "wehrl":
         search_spec = entropy.starting_spec(l.twice_l).doubled()
 
@@ -78,7 +78,7 @@ def objective_fn(l: SpinLabel, objective):
             return entropy.wehrl_fixed(PureState(l, psi).density(), search_spec)
 
         def final(psi):
-            return entropy.wehrl(PureState(l, psi).density())
+            return entropy.wehrl_pure(PureState(l, psi))
 
         return search, final
     if objective == "angular":

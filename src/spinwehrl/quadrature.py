@@ -39,3 +39,12 @@ def sphere_nodes(spec: QuadratureSpec):
     thetas = np.arccos(u)
     phis = 2 * pi * np.arange(spec.n_phi) / spec.n_phi
     return thetas, phis, w / 2, np.full(spec.n_phi, 1.0 / spec.n_phi)
+
+
+def sphere_points(spec: QuadratureSpec) -> np.ndarray:
+    """Unit vectors of the product-grid nodes, shape (n_theta * n_phi, 3),
+    theta-major like the flattened weights."""
+    thetas, phis, _, _ = sphere_nodes(spec)
+    sin = np.sin(thetas)[:, None]
+    return np.stack(np.broadcast_arrays(sin * np.cos(phis), sin * np.sin(phis),
+                                        np.cos(thetas)[:, None]), axis=-1).reshape(-1, 3)

@@ -17,6 +17,7 @@ from spinwehrl.coherent import coherent_state
 from spinwehrl.entropy import clamped_spectrum, entropy_of_spectrum, von_neumann, wehrl
 from spinwehrl.su2 import (
     DensityMatrix,
+    PureState,
     SphereDirection,
     SpinLabel,
     generators,
@@ -147,6 +148,12 @@ def test_angular_gram_coherent_spectrum():
         spec = clamped_spectrum(angular_gram(psi))
         expected = np.array([l * l, l, 0.0]) / (l * (l + 1.0))
         assert np.max(np.abs(spec - expected)) < 1e-12
+
+
+def test_angular_gram_rejects_spin_zero():
+    # l(l+1) = 0 at spin 0: the Gram matrix would be all NaN
+    with pytest.raises(ValueError):
+        angular_gram(PureState(SpinLabel(0), [1.0]))
 
 
 def test_angular_channel_entropy_from_gram():

@@ -6,6 +6,7 @@ from spinwehrl.coherent import (
     coherent_state,
     completeness_defect,
     husimi,
+    husimi_zeros,
     overlap_sq,
     state_from_roots,
     stellar_roots,
@@ -117,6 +118,20 @@ def test_stellar_roots_lowest_weight_all_south():
     v[-1] = 1.0
     for r in stellar_roots(PureState(spin, v)).roots:
         assert r.theta == pytest.approx(np.pi)
+
+
+def test_husimi_vanishes_at_its_zeros():
+    # degree-deficient rows (pole roots) share the batch with full-degree ones
+    rng = np.random.default_rng(12)
+    spin = SpinLabel(5)
+    states = [random_pure(spin, rng) for _ in range(3)] + [PureState(spin, row) for row in np.eye(6)]
+    zeros = husimi_zeros(spin, np.array([s.amplitudes for s in states]))
+    assert zeros.shape == (len(states), 5, 3)
+    assert np.allclose(np.linalg.norm(zeros, axis=-1), 1.0, atol=1e-14)
+    for psi, vecs in zip(states, zeros):
+        for x, y, z in vecs:
+            d = SphereDirection(np.arccos(np.clip(z, -1, 1)), np.arctan2(y, x))
+            assert husimi(psi.density(), d) < 1e-12
 
 
 def test_closest_coherent_recovers_direction():

@@ -1,7 +1,10 @@
+from math import comb, log
+
 import numpy as np
 import pytest
 
-from spinwehrl.coherent import coherent_state
+from spinwehrl import entropy
+from spinwehrl.coherent import StellarRoots, amplitude_grid, coherent_state, state_from_roots
 from spinwehrl.entropy import (
     chordal_data,
     povm_entropy,
@@ -13,7 +16,7 @@ from spinwehrl.entropy import (
     wehrl_pure,
     wehrl_pure_batch,
 )
-from spinwehrl.errors import QuadratureOrderError, ResourceGuardError
+from spinwehrl.errors import ConvergenceError, QuadratureOrderError, ResourceGuardError
 from spinwehrl.quadrature import QuadratureSpec
 from spinwehrl.su2 import (
     DensityMatrix,
@@ -23,6 +26,10 @@ from spinwehrl.su2 import (
     random_density,
     random_pure,
 )
+
+
+def random_direction(rng):
+    return SphereDirection(np.arccos(rng.uniform(-1, 1)), rng.uniform(0, 2 * np.pi))
 
 
 def pure_density(psi):
@@ -45,22 +52,115 @@ def test_povm_entropy_matches_direct_sum():
         povm_entropy(rho, effects[:-1])
 
 
-@pytest.mark.parametrize("tl", range(1, 9))
+@pytest.mark.parametrize("tl", range(1, 13))
 def test_coherent_wehrl_value(tl):
     # [DERIVED] closed value 2l/(2l+1) for the phase-space entropy of a
-    # coherent state, checked against adaptive quadrature
-    psi = coherent_state(SpinLabel(tl), SphereDirection(0.9, 2.1))
-    expected = tl / (tl + 1.0)
-    assert wehrl_pure(psi) == pytest.approx(expected, abs=1e-10)
+    # coherent state, whose 2l Husimi zeros all coincide at the antipode
+    rng = np.random.default_rng(tl)
+    directions = [SphereDirection(0.9, 2.1)] + [random_direction(rng) for _ in range(3)]
+    for d in directions:
+        value = wehrl_pure(coherent_state(SpinLabel(tl), d))
+        assert value == pytest.approx(tl / (tl + 1.0), abs=1e-12)
+
+
+# a spin-1/2 state is always coherent, so its Wehrl entropy is exactly 1/2
+EARLY_STOP_STATE = PureState(SpinLabel(1), [0.51100739 - 0.59894687j, 0.40017202 + 0.46903779j],
+                             normalize=True)
 
 
 @pytest.mark.xfail(strict=True, reason="adaptive quadrature stops on two coarse levels "
                    "(32x64, 64x128) that agree by chance, 1.22e-8 above the exact value")
 def test_coherent_wehrl_early_stop_spin_half():
-    # a spin-1/2 state is always coherent, so its Wehrl entropy is exactly 1/2
-    psi = PureState(SpinLabel(1), [0.51100739 - 0.59894687j, 0.40017202 + 0.46903779j],
-                    normalize=True)
-    assert wehrl_pure(psi) == pytest.approx(0.5, abs=1e-8)
+    assert wehrl(EARLY_STOP_STATE.density()) == pytest.approx(0.5, abs=1e-8)
+
+
+def test_coherent_wehrl_exact_spin_half():
+    # the exact pure-state route has no stopping rule to fool
+    assert wehrl_pure(EARLY_STOP_STATE) == pytest.approx(0.5, abs=1e-12)
+
+
+# 1e-9 is as tight as the quadrature gets at twice_l = 8 within MAX_GRID_BYTES;
+# it converges like N^-4, so its last level is well inside 1e-9 of the limit
+ORACLE_SPEC = QuadratureSpec(32, 64, 1e-9)
+
+
+def quadrature_oracle(psi):
+    return wehrl(psi.density(), ORACLE_SPEC)
+
+
+@pytest.mark.parametrize("tl", range(1, 9))
+def test_exact_wehrl_haar_against_quadrature(tl):
+    rng = np.random.default_rng(100 + tl)
+    spin = SpinLabel(tl)
+    states = [random_pure(spin, rng) for _ in range(2)]
+    exact = wehrl_pure_batch(spin, np.array([s.amplitudes for s in states]))
+    for psi, value in zip(states, exact):
+        assert value == pytest.approx(quadrature_oracle(psi), abs=1e-9)
+
+
+@pytest.mark.parametrize("gap", [1e-2, 1e-4, 1e-6, 1e-8])
+@pytest.mark.parametrize("cluster", [2, 3])
+def test_exact_wehrl_close_roots_against_quadrature(gap, cluster):
+    rng = np.random.default_rng(int(-np.log10(gap)) + 10 * cluster)
+    spin = SpinLabel(4)
+    centre = SphereDirection(rng.uniform(0.5, 2.5), rng.uniform(0, 2 * np.pi))
+    roots = [SphereDirection(centre.theta + gap * k, centre.phi) for k in range(cluster)]
+    roots += [random_direction(rng) for _ in range(spin.twice_l - cluster)]
+    psi = state_from_roots(StellarRoots(spin, tuple(roots)))
+    assert wehrl_pure(psi) == pytest.approx(quadrature_oracle(psi), abs=1e-9)
+
+
+def basis_state_wehrl(tl, k):
+    """[DERIVED] |l, m> with l+m = k: f = C(2l, k) u^k (1-u)^(2l-k) in
+    u = cos^2(theta/2), uniform on [0, 1], so S_W = -ln C(2l, k)
+    + k (H_(2l+1) - H_k) + (2l-k) (H_(2l+1) - H_(2l-k))."""
+    def h(n):
+        return sum(1.0 / i for i in range(1, n + 1))
+
+    return -log(comb(tl, k)) + k * (h(tl + 1) - h(k)) + (tl - k) * (h(tl + 1) - h(tl - k))
+
+
+def test_exact_wehrl_basis_states():
+    # pole roots and vanishing leading coefficients, all degrees in one batch
+    for tl in range(1, 9):
+        spin = SpinLabel(tl)
+        values = wehrl_pure_batch(spin, np.eye(spin.dim, dtype=complex))
+        expected = [basis_state_wehrl(tl, k) for k in range(tl, -1, -1)]  # m descending
+        assert np.max(np.abs(values - expected)) < 1e-12
+
+
+def test_exact_wehrl_spin_zero():
+    assert wehrl_pure(PureState(SpinLabel(0), [1.0])) == 0.0
+
+
+def test_exact_wehrl_fallback_is_the_quadrature(monkeypatch):
+    rng = np.random.default_rng(22)
+    spin = SpinLabel(3)
+    states = [random_pure(spin, rng) for _ in range(3)]
+    monkeypatch.setattr(entropy, "EXACT_RESIDUAL_TOL", 0.0)
+    values = wehrl_pure_batch(spin, np.array([s.amplitudes for s in states]), ORACLE_SPEC)
+    assert list(values) == [quadrature_oracle(s) for s in states]
+
+
+def test_wehrl_byte_guard_fires_before_allocation(monkeypatch):
+    # rank 1: a full-rank Ginibre state has a Husimi function bounded away
+    # from 0, whose levels agree exactly once rounding dominates
+    rng = np.random.default_rng(23)
+    spin = SpinLabel(8)
+    rho = random_density(spin, rng, rank=1)
+    requested = []
+
+    def recording_grid(l, spec):
+        requested.append(spec)
+        return amplitude_grid(l, spec)
+
+    monkeypatch.setattr(entropy, "amplitude_grid", recording_grid)
+    with pytest.raises(ConvergenceError) as err:
+        wehrl(rho, QuadratureSpec(32, 64, 1e-300))
+    largest = max(s.n_theta * s.n_phi for s in requested) * spin.dim * 16
+    assert largest <= entropy.MAX_GRID_BYTES < 4 * largest
+    assert err.value.last_spec == requested[-1]
+    assert np.isfinite(err.value.last_difference)
 
 
 def test_mixed_state_wehrl_value():

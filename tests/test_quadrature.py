@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spinwehrl.quadrature import QuadratureSpec, sphere_nodes
+from spinwehrl.quadrature import QuadratureSpec, sphere_nodes, sphere_points
 
 
 def test_weights_sum_to_one():
@@ -18,6 +18,20 @@ def test_exact_for_low_degree_harmonics():
     assert val == pytest.approx(1.0 / 3.0, abs=1e-14)
     grid = np.outer(np.sin(thetas) ** 2, np.cos(2 * phis))
     assert np.sum(w_theta[:, None] * w_phi * grid) == pytest.approx(0.0, abs=1e-14)
+
+
+def test_sphere_points_follow_the_weights():
+    # theta-major unit vectors; the weighted mean of z^2 is 1/3, of x and y 0
+    spec = QuadratureSpec(4, 8)
+    thetas, phis, w_theta, w_phi = sphere_nodes(spec)
+    points = sphere_points(spec)
+    w = np.outer(w_theta, w_phi).ravel()
+    assert points.shape == (32, 3)
+    assert np.allclose(np.linalg.norm(points, axis=1), 1.0, atol=1e-15)
+    assert np.allclose(points[9], [np.sin(thetas[1]) * np.cos(phis[1]),
+                                   np.sin(thetas[1]) * np.sin(phis[1]), np.cos(thetas[1])])
+    assert w @ points[:, 2] ** 2 == pytest.approx(1.0 / 3.0, abs=1e-14)
+    assert np.allclose(w @ points[:, :2], 0.0, atol=1e-15)
 
 
 def test_doubled():
