@@ -69,14 +69,21 @@ def apply_kraus(kraus, rho_matrix: np.ndarray) -> np.ndarray:
     return sum(A @ rho_matrix @ A.conj().T for A in kraus)
 
 
-def projection_dual_gram(psi: PureState, j: SpinLabel) -> np.ndarray:
-    """(2j+1)-dimensional dual Gram matrix with the same nonzero spectrum as the
-    primal output; it reads only the stretched table, so it stays cheap at large j."""
+def projection_dual_factor(psi: PureState, j: SpinLabel) -> np.ndarray:
+    """(2(l+j)+1) x (2j+1) factor W of the dual Gram matrix, W^dag W; linear in
+    the amplitudes. It reads only the stretched table, so it stays cheap at large j."""
     T = stretched_cg_table(psi.spin, j)
     a, b = np.indices(T.shape)
-    W = np.zeros((psi.spin.dim + j.twice_l, j.dim), dtype=complex)  # rows: 2(l+j)+1
+    W = np.zeros((psi.spin.dim + j.twice_l, j.dim), dtype=complex)
     W[a + b, b] = psi.amplitudes[:, None] * T
-    return (W.conj().T @ W) * (psi.spin.dim / len(W))
+    return W * np.sqrt(psi.spin.dim / len(W))
+
+
+def projection_dual_gram(psi: PureState, j: SpinLabel) -> np.ndarray:
+    """(2j+1)-dimensional dual Gram matrix with the same nonzero spectrum as the
+    primal output."""
+    W = projection_dual_factor(psi, j)
+    return W.conj().T @ W
 
 
 def projection_entropy(rho: DensityMatrix, j: SpinLabel) -> float:
@@ -104,16 +111,21 @@ def angular_channel(rho: DensityMatrix) -> ChannelOutput:
     return _as_output(l, out)
 
 
-def angular_gram(psi: PureState) -> np.ndarray:
-    """3x3 Gram matrix G_ij = <psi|L_i L_j|psi> / (l(l+1)); PSD with the same
-    nonzero spectrum as the angular-channel output."""
+def angular_factor(psi: PureState) -> np.ndarray:
+    """(2l+1) x 3 factor of the angular Gram matrix, columns L_i psi / sqrt(l(l+1));
+    linear in the amplitudes."""
     l = psi.spin
     if l.twice_l < 1:
         raise ValueError("angular channel needs l >= 1/2")
     _, _, _, L1, L2, L3 = generators(l)
-    vs = [Li @ psi.amplitudes for Li in (L1, L2, L3)]
-    G = np.array([[np.vdot(vi, vj) for vj in vs] for vi in vs])
-    return G / (l.l * (l.l + 1))
+    return np.column_stack([Li @ psi.amplitudes for Li in (L1, L2, L3)]) / np.sqrt(l.l * (l.l + 1))
+
+
+def angular_gram(psi: PureState) -> np.ndarray:
+    """3x3 Gram matrix G_ij = <psi|L_i L_j|psi> / (l(l+1)); PSD with the same
+    nonzero spectrum as the angular-channel output."""
+    A = angular_factor(psi)
+    return A.conj().T @ A
 
 
 def channel_covariance_defect(channel: str, rho: DensityMatrix, direction: SphereDirection,

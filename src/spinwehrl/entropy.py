@@ -93,7 +93,7 @@ def povm_entropy(rho: DensityMatrix, effects) -> float:
 
 
 def _husimi_on_grid(rho: DensityMatrix, V: np.ndarray) -> np.ndarray:
-    f = np.einsum("ni,ij,nj->n", V.conj(), rho.matrix, V).real
+    f = np.vecdot(V @ rho.matrix.conj(), V).real
     return np.clip(f, 0.0, 1.0)
 
 

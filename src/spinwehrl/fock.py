@@ -206,26 +206,6 @@ def measure_prepare_channel(space: SymmetricSpace, psi: np.ndarray, k: int) -> n
     return T / np.trace(T).real
 
 
-def measure_prepare_second_quantized(space: SymmetricSpace, psi: np.ndarray, k: int) -> np.ndarray:
-    """Same channel from the anti-normal-ordered double sum over creation and
-    annihilation strings; used as an independent route."""
-    psi = np.asarray(psi, dtype=complex)
-    right = SymmetricSpace(space.n_modes, k)
-    basis = right.basis
-    big_m = space.n_bosons + k
-    mono = {mu: monomial_annihilation(space.n_modes, big_m, mu) for mu in basis}
-    fac = {mu: prod(factorial(n) for n in mu) for mu in basis}
-    T = np.zeros((right.dim, right.dim), dtype=complex)
-    for i, mu in enumerate(basis):
-        for jdx, nu in enumerate(basis):
-            # <psi| a^mu (a*)^nu |psi> with (a*)^nu : H(M) -> H(M+k)
-            vec = mono[nu].conj().T @ psi
-            val = np.vdot(psi, mono[mu] @ vec)
-            T[i, jdx] = factorial(k) / sqrt(fac[mu] * fac[nu]) * val
-    T = (T + T.conj().T) / 2
-    return T / np.trace(T).real
-
-
 @dataclass(frozen=True)
 class DecompositionResult:
     coefficients: np.ndarray
@@ -306,38 +286,3 @@ def sun_coherent_majorization_test(n_modes: int, m_bosons: int, k: int,
         if gap > eps:
             violations += 1
     return MajorizationReport(samples, violations, worst, coh_spec)
-
-
-def random_special_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-ish special unitary via QR of a complex Ginibre matrix."""
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(g)
-    q = q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
-    det = np.linalg.det(q)
-    return q * det ** (-1.0 / n)
-
-
-def symmetric_power_unitary(space: SymmetricSpace, u: np.ndarray) -> np.ndarray:
-    """Action of U in SU(N) on H(N, M) by expanding products of transformed
-    creation operators."""
-    u = np.asarray(u, dtype=complex)
-    dim = space.dim
-    out = np.zeros((dim, dim), dtype=complex)
-    for col, occ in enumerate(space.basis):
-        # polynomial in a*_j: prod_i (sum_j u[j,i] x_j)^(occ_i)
-        terms = {tuple([0] * space.n_modes): 1.0 + 0j}
-        for mode, count in enumerate(occ):
-            for _ in range(count):
-                new = {}
-                for key, coef in terms.items():
-                    for jmode in range(space.n_modes):
-                        nk = list(key)
-                        nk[jmode] += 1
-                        nk = tuple(nk)
-                        new[nk] = new.get(nk, 0.0) + coef * u[jmode, mode]
-                terms = new
-        f_occ = prod(factorial(n) for n in occ)
-        for key, coef in terms.items():
-            row = space.index(key)
-            out[row, col] = coef * sqrt(prod(factorial(n) for n in key) / f_occ)
-    return out

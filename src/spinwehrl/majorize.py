@@ -1,4 +1,4 @@
-"""Majorization order on spectra and derivative-free entropy minimization."""
+"""Majorization order on spectra and gradient-based entropy minimization."""
 
 from __future__ import annotations
 
@@ -6,13 +6,21 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
+from scipy.special import xlogy
 
 from . import channels, entropy
-from .coherent import closest_coherent
+from .coherent import amplitude_grid, closest_coherent
 from .su2 import PureState, SphereDirection, SpinLabel
 
 #: Largest twice_l `minimize_entropy` accepts; the CLI checks it before sampling.
 OPTIMIZER_MAX_TWICE_L = 8
+#: Floor under the logarithms of the gradients: x ln x -> 0 as x -> 0, so the
+#: floored term vanishes where its weight (an amplitude or an eigenvalue) does.
+_TINY = np.finfo(float).tiny
+#: Tighter than scipy's defaults (ftol 2.2e-9, gtol 1e-5), whose single starts
+#: ended up to 2.3e-7 above the coherent minimum at twice_l = 8; these reach
+#: 3.5e-13 for about 40% more iterations.
+_LBFGS_OPTIONS = {"ftol": 1e-13, "gtol": 1e-9}
 
 
 def as_spectrum(values) -> np.ndarray:
@@ -66,40 +74,86 @@ class OptimizationResult:
     coherent_fidelity: float
 
 
+# The search functions contract with einsum, not matmul: numpy and scipy each
+# carry an OpenBLAS thread pool, and waking numpy's between L-BFGS-B steps made
+# the Wehrl minimization 5-10x slower on a 2-CPU machine.
+
+
+def _real_gradient(g: np.ndarray) -> np.ndarray:
+    """Gradient in x = (Re v, Im v) of a real function with dS/dv* = g."""
+    return 2 * np.concatenate([g.real, g.imag])
+
+
+def _gram_search(l: SpinLabel, factor):
+    """Search function of the entropy of G = A(v)^dag A(v) / |v|^2 for a factor A
+    linear in v; the gradient is Hellmann-Feynman through one eigh."""
+    d = l.dim
+    basis = [PureState(l, e) for e in np.eye(d)]
+    support = np.logical_or.reduce([factor(e) != 0 for e in basis])
+    B = np.stack([factor(e)[support] for e in basis])  # A(e_i) on the joint support
+
+    def search(x):
+        v = x[:d] + 1j * x[d:]
+        n = np.vdot(v, v).real
+        A = np.zeros(support.shape, dtype=complex)
+        A[support] = np.einsum("i,ik->k", v, B)
+        lam, U = np.linalg.eigh(A.conj().T @ A / n)
+        lam = np.maximum(lam, 0.0)
+        dlam = 1 + np.log(np.maximum(lam, _TINY))  # M = U diag(dlam) U^dag
+        AM = A @ ((U * dlam) @ U.conj().T)
+        adjoint = np.einsum("ik,k->i", B, AM[support].conj()).conj()  # A^*(A M)
+        grad = -(adjoint - v * np.sum(lam * dlam)) / n
+        return entropy.entropy_of_spectrum(lam), _real_gradient(grad)
+
+    return search
+
+
 def objective_fn(l: SpinLabel, objective):
-    """Returns (search_fn, final_fn) mapping amplitude vectors to the entropy.
+    """Returns (search, final) for an entropy objective over pure states.
 
-    The Wehrl search runs on the one grid after the adaptive quadrature's
-    starting level; the final value is the exact pure-state one."""
+    `search` maps real parameters x, the amplitudes x[:d] + i x[d:] of any
+    norm, to the entropy and its gradient in x; `final` maps a normalized
+    amplitude vector to the entropy. The Wehrl search runs on the one grid
+    after the adaptive quadrature's starting level; the final value is the
+    exact pure-state one."""
+    d = l.dim
     if objective == "wehrl":
-        search_spec = entropy.starting_spec(l.twice_l).doubled()
+        V, w = amplitude_grid(l, entropy.starting_spec(l.twice_l).doubled())
+        V_bar = V.conj()
 
-        def search(psi):
-            return entropy.wehrl_fixed(PureState(l, psi).density(), search_spec)
+        def search(x):
+            v = x[:d] + 1j * x[d:]
+            n = np.vdot(v, v).real
+            a = np.einsum("ni,i->n", V_bar, v)
+            f = (a.real ** 2 + a.imag ** 2) / n
+            c = w * (1 + np.log(np.maximum(f, _TINY)))
+            # dS/dv* = -(d/n) [V^T (c a) - v (c . f)], from f = |V* v|^2 / n
+            grad = -(d / n) * (np.einsum("n,ni->i", c * a, V) - v * np.sum(c * f))
+            return -d * np.sum(w * xlogy(f, f)), _real_gradient(grad)
 
         def final(psi):
             return entropy.wehrl_pure(PureState(l, psi))
 
         return search, final
     if objective == "angular":
-        def value(psi):
+        def final(psi):
             g = channels.angular_gram(PureState(l, psi))
             return entropy.entropy_of_spectrum(entropy.clamped_spectrum(g))
 
-        return value, value
+        return _gram_search(l, channels.angular_factor), final
     if isinstance(objective, tuple) and objective[0] == "projection":
         j = objective[1]
 
-        def value(psi):
+        def final(psi):
             return channels.projection_entropy_pure(PureState(l, psi), j)
 
-        return value, value
+        return _gram_search(l, lambda psi: channels.projection_dual_factor(psi, j)), final
     raise ValueError(f"unknown objective {objective!r}")
 
 
 def minimize_entropy(l: SpinLabel, objective, restarts: int = 16, seed: int = 0) -> OptimizationResult:
-    """Multi-start simplex minimization of an entropy functional over pure
-    states of spin l.
+    """Multi-start L-BFGS minimization, with analytic gradients, of an entropy
+    functional over pure states of spin l.
 
     `objective` is "wehrl", "angular", or ("projection", SpinLabel). Restart
     seeds are spawned from the master seed via numpy's SeedSequence, so a
@@ -110,33 +164,16 @@ def minimize_entropy(l: SpinLabel, objective, restarts: int = 16, seed: int = 0)
         raise ValueError(f"optimizer guard: twice_l <= {OPTIMIZER_MAX_TWICE_L}")
     search, final = objective_fn(l, objective)
     d = l.dim
-
-    def from_params(x):
-        v = x[:d] + 1j * x[d:]
-        n = np.linalg.norm(v)
-        return v / n if n > 1e-12 else None
-
-    def cost(x):
-        v = from_params(x)
-        if v is None:
-            return 1e6
-        return search(v)
-
-    n_starts = max(1, restarts)
-    seeds = np.random.SeedSequence(seed).spawn(n_starts)
     best = None
     total_iters = 0
     any_converged = False
-    for idx in range(n_starts):
-        rng = np.random.default_rng(seeds[idx])
-        x0 = rng.standard_normal(2 * d)
-        res = minimize(cost, x0, method="Nelder-Mead",
-                       options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 4000, "maxfev": 6000})
+    for start in np.random.SeedSequence(seed).spawn(max(1, restarts)):
+        x0 = np.random.default_rng(start).standard_normal(2 * d)
+        res = minimize(search, x0, jac=True, method="L-BFGS-B", options=_LBFGS_OPTIONS)
         total_iters += res.nit
         any_converged = any_converged or bool(res.success)
-        v = from_params(res.x)
-        if v is None:
-            continue
+        v = res.x[:d] + 1j * res.x[d:]
+        v = v / np.linalg.norm(v)
         val = final(v)
         if best is None or val < best[0]:
             best = (val, v)

@@ -1,3 +1,4 @@
+import tracemalloc
 from math import comb, log
 
 import numpy as np
@@ -168,6 +169,23 @@ def test_mixed_state_wehrl_value():
     for tl in (1, 2, 4):
         rho = DensityMatrix.maximally_mixed(SpinLabel(tl))
         assert wehrl(rho) == pytest.approx(np.log(tl + 1.0), abs=1e-10)
+
+
+def test_husimi_on_grid_matches_einsum_with_bounded_temporaries():
+    # beyond V: one (nodes, 2l+1) product and one complex value per node, with
+    # 64 KiB of slack (the einsum on a V.conj() copy peaked at 1.375 V.nbytes)
+    l = SpinLabel(2)
+    V, _ = amplitude_grid(l, QuadratureSpec(256, 512))
+    rho = random_density(l, np.random.default_rng(3))
+    reference = np.clip(np.einsum("ni,ij,nj->n", V.conj(), rho.matrix, V).real, 0.0, 1.0)
+    tracemalloc.start()
+    try:
+        f = entropy._husimi_on_grid(rho, V)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.max(np.abs(f - reference)) < 1e-15
+    assert peak < V.nbytes * (1 + 1 / l.dim) + 2 ** 16, peak / V.nbytes
 
 
 def test_wehrl_rotation_invariance():

@@ -1,14 +1,27 @@
 import numpy as np
 import pytest
 
-from spinwehrl.entropy import entropy_of_spectrum
+from spinwehrl.channels import angular_gram, projection_entropy_pure
+from spinwehrl.entropy import clamped_spectrum, entropy_of_spectrum, starting_spec, wehrl_fixed
 from spinwehrl.majorize import (
     majorizes,
     minimize_entropy,
+    objective_fn,
     schur_concave_check,
     worst_majorization_violation,
 )
-from spinwehrl.su2 import SpinLabel
+from spinwehrl.su2 import PureState, SpinLabel
+
+OBJECTIVES = ["wehrl", "angular"] + [("projection", SpinLabel(tj)) for tj in (1, 4, 20)]
+
+
+def library_entropy(l, objective, psi):
+    """The objective by the library's own routes, with no gradient code."""
+    if objective == "wehrl":
+        return wehrl_fixed(psi.density(), starting_spec(l.twice_l).doubled())
+    if objective == "angular":
+        return entropy_of_spectrum(clamped_spectrum(angular_gram(psi)))
+    return projection_entropy_pure(psi, objective[1])
 
 
 def test_majorizes_basic():
@@ -67,3 +80,48 @@ def test_minimize_projection_objective():
 def test_minimize_guard():
     with pytest.raises(ValueError):
         minimize_entropy(SpinLabel(10), "wehrl")
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES, ids=str)
+@pytest.mark.parametrize("twice_l", [1, 2, 3, 4])
+def test_search_gradient_matches_central_differences(twice_l, objective):
+    l = SpinLabel(twice_l)
+    search, _ = objective_fn(l, objective)
+    rng = np.random.default_rng(twice_l)
+    h = 1e-6
+    for _ in range(3):
+        x = 1.7 * rng.standard_normal(2 * l.dim)  # unnormalized on purpose
+        _, grad = search(x)
+        steps = h * np.eye(len(x))
+        numeric = np.array([(search(x + e)[0] - search(x - e)[0]) / (2 * h) for e in steps])
+        assert np.max(np.abs(grad - numeric)) < 1e-8
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES, ids=str)
+@pytest.mark.parametrize("twice_l", [1, 2, 3, 4])
+def test_search_value_matches_library_route(twice_l, objective):
+    l = SpinLabel(twice_l)
+    search, _ = objective_fn(l, objective)
+    rng = np.random.default_rng(10 + twice_l)
+    for _ in range(3):
+        x = 0.3 * rng.standard_normal(2 * l.dim)
+        psi = PureState(l, x[:l.dim] + 1j * x[l.dim:], normalize=True)
+        assert abs(search(x)[0] - library_entropy(l, objective, psi)) < 1e-12
+
+
+def test_single_starts_meet_the_ac11_gates():
+    worst_val, worst_fid = 0.0, 1.0
+    for seed in range(100):
+        res = minimize_entropy(SpinLabel(3), "wehrl", restarts=1, seed=seed)
+        worst_val = max(worst_val, abs(res.best_value - 0.75))
+        worst_fid = min(worst_fid, res.coherent_fidelity)
+    assert worst_val < 1e-6 and worst_fid >= 1 - 1e-6, (worst_val, worst_fid)
+
+
+def test_minimize_is_deterministic():
+    l = SpinLabel(3)
+    a = minimize_entropy(l, "wehrl", restarts=3, seed=7)
+    b = minimize_entropy(l, "wehrl", restarts=3, seed=7)
+    assert np.array_equal(a.best_state.amplitudes, b.best_state.amplitudes)
+    assert (a.best_value, a.iterations, a.closest_direction, a.coherent_fidelity) == \
+        (b.best_value, b.iterations, b.closest_direction, b.coherent_fidelity)
