@@ -44,6 +44,7 @@ from .channels import (
     projection_channel,
     projection_dual_gram,
     projection_entropy,
+    projection_entropy_batch,
     projection_entropy_pure,
     projection_kraus,
     projection_shift,

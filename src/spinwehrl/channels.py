@@ -4,19 +4,24 @@ and the angular channel with its 3x3 Gram dual.
 The projection channel maps a state on [l] to
 (2l+1)/(2(l+j)+1) * P_(l+j) (rho (x) 1_j) P_(l+j), stored directly in the
 |l+j, m> eigenbasis of the image so the output is a (2(l+j)+1)-dimensional
-density matrix. For pure inputs the (2j+1)-dimensional dual Gram matrix has
-the same nonzero spectrum and is the only route used at large j. Both routes
-read the one closed-form stretched Clebsch-Gordan table in `su2`.
+density matrix. It couples |l+j, a+b> only to |l+j, a'+b>, so the output is
+banded with half-bandwidth 2l: the entropies read that band straight from the
+one closed-form stretched Clebsch-Gordan table in `su2` and solve it with one
+banded eigensolve per state. The dense output (`projection_channel`) and, for
+pure inputs, the (2j+1)-dimensional dual Gram matrix with the same nonzero
+spectrum are the oracles; the optimizer differentiates the dual Gram factor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import log
 
 import numpy as np
+from scipy.linalg import eigvals_banded
 
-from .entropy import clamped_spectrum, entropy_of_spectrum
+from .entropy import clamp_eigenvalues, clamped_spectrum, entropy_of_spectrum
 from .errors import ResourceGuardError
 from .su2 import (
     DensityMatrix,
@@ -30,6 +35,12 @@ from .su2 import (
 )
 
 TENSOR_DIM_GUARD = 40_000
+#: Largest twice_j (j <= 100) that figure-projection and the optimizer accept;
+#: the CLI checks it before sampling.
+MAX_PROJECTION_TWICE_J = 200
+#: States per band assembly in `projection_entropy_batch`, which bounds its
+#: memory at any number of states.
+_BAND_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -65,10 +76,6 @@ def projection_kraus(l: SpinLabel, j: SpinLabel) -> list[np.ndarray]:
     return [scale * V[:, idx, :].T.conj() for idx in range(j.dim)]
 
 
-def apply_kraus(kraus, rho_matrix: np.ndarray) -> np.ndarray:
-    return sum(A @ rho_matrix @ A.conj().T for A in kraus)
-
-
 def projection_dual_factor(psi: PureState, j: SpinLabel) -> np.ndarray:
     """(2(l+j)+1) x (2j+1) factor W of the dual Gram matrix, W^dag W; linear in
     the amplitudes. It reads only the stretched table, so it stays cheap at large j."""
@@ -86,14 +93,53 @@ def projection_dual_gram(psi: PureState, j: SpinLabel) -> np.ndarray:
     return W.conj().T @ W
 
 
+@lru_cache(maxsize=64)
+def _band_weights(l: SpinLabel, j: SpinLabel) -> np.ndarray:
+    """C[k, a, c] = (2l+1)/(2(l+j)+1) T[a+k, c-a] T[a, c-a] for the stretched
+    table T, and 0 where an index leaves the table; shape (2l+1, 2l+1, 2(l+j)+1)."""
+    T = stretched_cg_table(l, j)
+    d, D = l.dim, l.dim + j.twice_l
+    k, a, c = np.indices((d, d, D))
+    b = np.clip(c - a, 0, j.twice_l)
+    inside = (a + k < d) & (c - a == b)
+    C = np.where(inside, T[np.minimum(a + k, d - 1), b] * T[a, b], 0.0) * (d / D)
+    C.flags.writeable = False
+    return C
+
+
+def projection_output_band(l: SpinLabel, j: SpinLabel, rhos: np.ndarray) -> np.ndarray:
+    """Lower band of the projection-channel output for a stack of (2l+1)^2
+    density matrices, shape (..., 2l+1, 2(l+j)+1): entry k of column c is
+    out[c+k, c] = (2l+1)/(2(l+j)+1) sum_a rho[a+k, a] T[a+k, c-a] T[a, c-a]
+    for the stretched table T, and out is zero beyond k = 2l. O(l^2 j) per
+    state, with no dense output or dual factor."""
+    d = l.dim
+    k, a = np.indices((d, d))
+    diagonals = np.asarray(rhos)[..., np.minimum(a + k, d - 1), a]  # rho[a+k, a]; C is 0 past the edge
+    return np.einsum("...ka,kac->...kc", diagonals, _band_weights(l, j))
+
+
+def projection_entropy_batch(l: SpinLabel, j: SpinLabel, rhos: np.ndarray) -> np.ndarray:
+    """Projection entropies of a stack of (2l+1)^2 density matrices, shape
+    (states, 2l+1, 2l+1): one banded eigensolve of each output band."""
+    rhos = np.asarray(rhos)
+    values = np.empty(len(rhos))
+    for start in range(0, len(rhos), _BAND_CHUNK):
+        bands = projection_output_band(l, j, rhos[start:start + _BAND_CHUNK])
+        for i, band in enumerate(bands, start):
+            values[i] = entropy_of_spectrum(clamp_eigenvalues(eigvals_banded(band, lower=True)))
+    return values
+
+
 def projection_entropy(rho: DensityMatrix, j: SpinLabel) -> float:
     """von Neumann entropy of the projection-channel output; <= ln(2j+1)."""
-    return entropy_of_spectrum(projection_channel(rho, j).spectrum)
+    return float(projection_entropy_batch(rho.spin, j, rho.matrix[None])[0])
 
 
 def projection_entropy_pure(psi: PureState, j: SpinLabel) -> float:
-    """Projection entropy of a pure state through the dual Gram route."""
-    return entropy_of_spectrum(clamped_spectrum(projection_dual_gram(psi, j)))
+    """Projection entropy of a pure state, from the band of psi psi^dag."""
+    a = psi.amplitudes
+    return float(projection_entropy_batch(psi.spin, j, np.outer(a, a.conj())[None])[0])
 
 
 def projection_shift(l: SpinLabel, j: SpinLabel) -> float:

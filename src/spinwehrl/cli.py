@@ -19,9 +19,10 @@ Exit codes, each failure with a one-line message on stderr:
   angular channel at l = 0);
 * 2 conjecture-scan counterexample;
 * 3 a guard or numerical limit was hit: a resource guard (figure-projection
-  twice_l <= 8 and j <= 100, the optimizer's twice_l <= 8, tensor and output
-  dimensions), a Wehrl quadrature that did not converge within its grid
-  limit, or a measure-and-prepare decomposition above its residual threshold.
+  twice_l <= 8 and j <= 100, the optimizer's twice_l <= 8 and projection
+  j <= 100, tensor and output dimensions), a Wehrl quadrature that did not
+  converge within its grid limit, or a measure-and-prepare decomposition
+  above its residual threshold.
 
 State files are either JSON ``{"twice_l": int, "amplitudes": [[re, im], ...]}``
 (m descending) or CSV ``l,m,re,im`` with header, single fixed l. Numbers are
@@ -226,26 +227,29 @@ def cmd_figure_projection(args) -> int:
         raise ResourceGuardError("figure-projection guard: twice_l <= 8")
     j_labels = [parse_half_integer(tok) for tok in args.j_list.split(",") if tok.strip()]
     for j in j_labels:
-        if j.l > 100:
-            raise ResourceGuardError("figure-projection guard: j <= 100")
+        _require_projection_j("figure-projection", j)
     tol = _default_tol()
     rng = np.random.default_rng(args.seed)
-    states = [random_pure(l, rng) for _ in range(args.samples)]
-    amp = np.array([s.amplitudes for s in states])
+    amp = np.array([random_pure(l, rng).amplitudes for _ in range(args.samples)])
     s_w = entropy.wehrl_pure_batch(l, amp, entropy.starting_spec(l.twice_l, tol))
+    rhos = amp[:, :, None] * amp[:, None, :].conj()
     header = ["index", "S_W"]
+    columns = [s_w]
     for j in j_labels:
         tag = _spin_tag(j)
         header += [f"S_pro_shifted_j{tag}", f"gap_j{tag}"]
+        shifted = channels.projection_entropy_batch(l, j, rhos) + channels.projection_shift(l, j)
+        columns += [shifted, s_w - shifted]
     lines = [",".join(header)]
-    for i, psi in enumerate(states):
-        row = [str(i), _fmt(float(s_w[i]))]
-        for j in j_labels:
-            shifted = channels.projection_entropy_pure(psi, j) + channels.projection_shift(l, j)
-            row += [_fmt(shifted), _fmt(float(s_w[i]) - shifted)]
-        lines.append(",".join(row))
+    for i, row in enumerate(np.column_stack(columns)):
+        lines.append(",".join([str(i)] + [_fmt(float(x)) for x in row]))
     _emit(args, "\n".join(lines) + "\n")
     return 0
+
+
+def _require_projection_j(command: str, j: SpinLabel):
+    if j.twice_l > channels.MAX_PROJECTION_TWICE_J:
+        raise ResourceGuardError(f"{command} guard: j <= {channels.MAX_PROJECTION_TWICE_J / 2:g}")
 
 
 def _spin_tag(j: SpinLabel) -> str:
@@ -286,6 +290,8 @@ def cmd_scan_conjecture(args) -> int:
         raise ResourceGuardError(f"optimizer guard: twice_l <= {majorize.OPTIMIZER_MAX_TWICE_L}")
     if objective == "angular":
         _require_angular_spin(l)
+    elif isinstance(objective, tuple):
+        _require_projection_j("optimizer", objective[1])
     _, final = majorize.objective_fn(l, objective)
     rng = np.random.default_rng(args.seed)
     sample_min = min(final(random_pure(l, rng).amplitudes) for _ in range(args.samples))

@@ -59,12 +59,18 @@ class ChordalData:
                 raise ValueError(f"negative squared distance {v}")
 
 
-def clamped_spectrum(matrix: np.ndarray) -> np.ndarray:
-    """Descending eigenvalues with PSD noise in [-1e-12, 0) clamped to 0."""
-    vals = np.linalg.eigvalsh(matrix)[::-1]
-    if np.min(vals) < -EIGENVALUE_CLAMP:
-        raise ValueError(f"eigenvalue {np.min(vals)} below the -1e-12 clamp window")
+def clamp_eigenvalues(values) -> np.ndarray:
+    """Eigenvalues of a PSD matrix sorted descending, with noise in
+    [-EIGENVALUE_CLAMP, 0) clamped to 0; ValueError below that window."""
+    vals = np.sort(np.asarray(values, dtype=float))[::-1]
+    if vals.size and vals[-1] < -EIGENVALUE_CLAMP:
+        raise ValueError(f"eigenvalue {vals[-1]} below the -{EIGENVALUE_CLAMP:g} clamp window")
     return np.maximum(vals, 0.0)
+
+
+def clamped_spectrum(matrix: np.ndarray) -> np.ndarray:
+    """Descending eigenvalues of a Hermitian PSD matrix, clamped by `clamp_eigenvalues`."""
+    return clamp_eigenvalues(np.linalg.eigvalsh(matrix))
 
 
 def entropy_of_spectrum(vals: np.ndarray) -> float:

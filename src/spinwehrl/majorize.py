@@ -23,14 +23,6 @@ _TINY = np.finfo(float).tiny
 _LBFGS_OPTIONS = {"ftol": 1e-13, "gtol": 1e-9}
 
 
-def as_spectrum(values) -> np.ndarray:
-    """Descending-sorted spectrum with sub-1e-12 negative noise clamped."""
-    v = np.sort(np.asarray(values, dtype=float))[::-1]
-    if v.size and v[-1] < -1e-12:
-        raise ValueError(f"spectrum entry {v[-1]} below the clamp window")
-    return np.maximum(v, 0.0)
-
-
 def _padded(a: np.ndarray, b: np.ndarray):
     n = max(len(a), len(b))
     return np.pad(a, (0, n - len(a))), np.pad(b, (0, n - len(b)))
@@ -41,7 +33,7 @@ def majorizes(a, b, eps: float = 1e-9) -> bool:
 
     Requires equal traces within eps; shorter vectors are zero-padded.
     """
-    a, b = _padded(as_spectrum(a), as_spectrum(b))
+    a, b = _padded(entropy.clamp_eigenvalues(a), entropy.clamp_eigenvalues(b))
     if abs(a.sum() - b.sum()) > eps:
         raise ValueError(f"trace mismatch {abs(a.sum() - b.sum())} exceeds eps={eps}")
     return bool(np.all(np.cumsum(a) >= np.cumsum(b) - eps))
@@ -49,7 +41,7 @@ def majorizes(a, b, eps: float = 1e-9) -> bool:
 
 def worst_majorization_violation(a, b) -> float:
     """Largest amount by which a prefix sum of b exceeds the one of a."""
-    a, b = _padded(as_spectrum(a), as_spectrum(b))
+    a, b = _padded(entropy.clamp_eigenvalues(a), entropy.clamp_eigenvalues(b))
     return float(np.max(np.cumsum(b) - np.cumsum(a)))
 
 
@@ -58,8 +50,8 @@ def schur_concave_check(f, a, b, convex: bool = False, tol: float = 1e-9) -> boo
     for concave f (reversed for convex f)."""
     if not majorizes(a, b):
         raise ValueError("precondition failed: a does not majorize b")
-    fa = float(sum(f(x) for x in as_spectrum(a)))
-    fb = float(sum(f(x) for x in as_spectrum(b)))
+    fa = float(sum(f(x) for x in entropy.clamp_eigenvalues(a)))
+    fb = float(sum(f(x) for x in entropy.clamp_eigenvalues(b)))
     return fa >= fb - tol if convex else fa <= fb + tol
 
 
@@ -155,13 +147,16 @@ def minimize_entropy(l: SpinLabel, objective, restarts: int = 16, seed: int = 0)
     """Multi-start L-BFGS minimization, with analytic gradients, of an entropy
     functional over pure states of spin l.
 
-    `objective` is "wehrl", "angular", or ("projection", SpinLabel). Restart
-    seeds are spawned from the master seed via numpy's SeedSequence, so a
-    fixed (restarts, seed) pair is fully deterministic. The winner is the
-    lowest value, ties broken by lowest restart index.
+    `objective` is "wehrl", "angular", or ("projection", SpinLabel) with
+    twice_j <= channels.MAX_PROJECTION_TWICE_J. Restart seeds are spawned
+    from the master seed via numpy's SeedSequence, so a fixed (restarts, seed)
+    pair is fully deterministic. The winner is the lowest value, ties broken
+    by lowest restart index.
     """
     if l.twice_l > OPTIMIZER_MAX_TWICE_L:
         raise ValueError(f"optimizer guard: twice_l <= {OPTIMIZER_MAX_TWICE_L}")
+    if isinstance(objective, tuple) and objective[1].twice_l > channels.MAX_PROJECTION_TWICE_J:
+        raise ValueError(f"optimizer guard: twice_j <= {channels.MAX_PROJECTION_TWICE_J}")
     search, final = objective_fn(l, objective)
     d = l.dim
     best = None

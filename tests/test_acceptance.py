@@ -12,7 +12,6 @@ import pytest
 
 from spinwehrl.channels import (
     angular_gram,
-    apply_kraus,
     channel_covariance_defect,
     projection_channel,
     projection_dual_gram,

@@ -1,20 +1,28 @@
 import numpy as np
 import pytest
+from scipy.linalg import eigvals_banded
 
 from spinwehrl.channels import (
     angular_channel,
     angular_gram,
-    apply_kraus,
     channel_covariance_defect,
     projection_channel,
     projection_dual_gram,
     projection_entropy,
+    projection_entropy_batch,
     projection_entropy_pure,
     projection_kraus,
+    projection_output_band,
     projection_shift,
 )
 from spinwehrl.coherent import coherent_state
-from spinwehrl.entropy import clamped_spectrum, entropy_of_spectrum, von_neumann, wehrl
+from spinwehrl.entropy import (
+    clamp_eigenvalues,
+    clamped_spectrum,
+    entropy_of_spectrum,
+    von_neumann,
+    wehrl,
+)
 from spinwehrl.su2 import (
     DensityMatrix,
     PureState,
@@ -27,6 +35,11 @@ from spinwehrl.su2 import (
 
 HALF = SpinLabel(1)
 ONE = SpinLabel(2)
+
+
+def apply_kraus(kraus, rho_matrix: np.ndarray) -> np.ndarray:
+    """sum_M A_M rho A_M^dag, the Kraus form the dense output is checked against."""
+    return sum(A @ rho_matrix @ A.conj().T for A in kraus)
 
 
 def test_projection_spin_half_pair_spectrum():
@@ -102,7 +115,6 @@ def test_projection_entropy_routes_agree():
 
 
 def test_projection_large_j_dual_route():
-    # j = 100 is only reachable through the small Gram matrix
     psi = random_pure(ONE, np.random.default_rng(6))
     val = projection_entropy_pure(psi, SpinLabel(200))
     assert np.isfinite(val)
@@ -110,6 +122,64 @@ def test_projection_large_j_dual_route():
     coh = coherent_state(ONE, SphereDirection(0.7, 0.7))
     g = projection_dual_gram(coh, SpinLabel(200))
     assert np.trace(g).real == pytest.approx(1.0, abs=1e-10)
+
+
+BAND_TWICE_J = (0, 1, 2, 5, 20, 57, 200)
+
+
+def banded_spectrum(spin, j, rho_matrix):
+    """The spectrum behind the library's projection entropies."""
+    return clamp_eigenvalues(eigvals_banded(projection_output_band(spin, j, rho_matrix), lower=True))
+
+
+def test_banded_route_matches_dense_routes():
+    # Haar pure and random mixed states against the dense primal output, and
+    # pure ones against the dual Gram matrix, at AC05's 1e-10 for spectra
+    rng = np.random.default_rng(12)
+    for tl in range(9):
+        spin = SpinLabel(tl)
+        for tj in BAND_TWICE_J:
+            j = SpinLabel(tj)
+            psi = random_pure(spin, rng)
+            for rho in (psi.density(), random_density(spin, rng)):
+                primal = projection_channel(rho, j).spectrum
+                assert np.max(np.abs(banded_spectrum(spin, j, rho.matrix) - primal)) < 1e-10
+                assert abs(projection_entropy(rho, j) - entropy_of_spectrum(primal)) < 1e-11
+            dual = clamped_spectrum(projection_dual_gram(psi, j))
+            banded = banded_spectrum(spin, j, psi.density().matrix)
+            assert np.max(np.abs(banded[: j.dim] - dual)) < 1e-10
+            assert np.max(np.abs(banded[j.dim:]), initial=0.0) < 1e-10
+            assert abs(projection_entropy_pure(psi, j) - entropy_of_spectrum(dual)) < 1e-11
+
+
+def test_dense_output_is_banded():
+    # out[c+k, c] = 0 for k > 2l, and the band holds the other diagonals
+    rng = np.random.default_rng(13)
+    for tl, tj in [(0, 3), (1, 1), (2, 5), (4, 20), (8, 0), (8, 57)]:
+        spin, j = SpinLabel(tl), SpinLabel(tj)
+        rho = random_density(spin, rng)
+        out = projection_channel(rho, j).matrix.matrix
+        rows, cols = np.indices(out.shape)
+        assert np.all(out[np.abs(rows - cols) > tl] == 0)
+        band = projection_output_band(spin, j, rho.matrix)
+        assert band.shape == (spin.dim, len(out))
+        for k in range(spin.dim):
+            n = len(out) - k
+            assert np.max(np.abs(np.diagonal(out, -k) - band[k, :n])) < 1e-15
+            assert np.all(band[k, n:] == 0)
+
+
+def test_projection_entropy_batch_matches_single_calls():
+    # 600 states span several band assemblies of one batch call
+    rng = np.random.default_rng(14)
+    for tl, tj, n in [(1, 1, 600), (4, 20, 7)]:
+        spin, j = SpinLabel(tl), SpinLabel(tj)
+        rhos = [random_density(spin, rng) for _ in range(n)]
+        batch = projection_entropy_batch(spin, j, np.array([r.matrix for r in rhos]))
+        assert np.array_equal(batch, [projection_entropy(r, j) for r in rhos])
+        states = [random_pure(spin, rng) for _ in range(3)]
+        pure = projection_entropy_batch(spin, j, np.array([s.density().matrix for s in states]))
+        assert np.array_equal(pure, [projection_entropy_pure(s, j) for s in states])
 
 
 def test_angular_channel_up_state():

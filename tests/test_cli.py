@@ -1,13 +1,14 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
-from spinwehrl import entropy, fock
+from spinwehrl import channels, cli, entropy, fock, majorize
 from spinwehrl.cli import CliError, load_state_file, main, parse_half_integer
 from spinwehrl.coherent import coherent_state
 from spinwehrl.errors import DecompositionError
-from spinwehrl.su2 import SphereDirection, SpinLabel
+from spinwehrl.su2 import SphereDirection, SpinLabel, random_pure
 
 
 def write_json_state(path, psi):
@@ -106,6 +107,26 @@ def test_figure_projection_csv(tmp_path, capsys):
     assert out_file.read_text() == out_file2.read_text()
 
 
+def test_figure_projection_matches_dense_recomputation(tmp_path):
+    # the banded batch against the per-state dense dual Gram route
+    out_file = tmp_path / "fig.csv"
+    assert main(["figure-projection", "--twice-l", "2", "--samples", "8",
+                 "--j-list", "1/2,10,100", "--seed", "7", "--out", str(out_file)]) == 0
+    with out_file.open() as fh:
+        rows = list(csv.DictReader(fh))
+    l = SpinLabel(2)
+    rng = np.random.default_rng(7)
+    for row in rows:
+        psi = random_pure(l, rng)
+        s_w = entropy.wehrl_pure(psi)
+        assert abs(float(row["S_W"]) - s_w) < 1e-12
+        for tag, j in (("1over2", SpinLabel(1)), ("10", SpinLabel(20)), ("100", SpinLabel(200))):
+            dual = entropy.clamped_spectrum(channels.projection_dual_gram(psi, j))
+            shifted = entropy.entropy_of_spectrum(dual) + channels.projection_shift(l, j)
+            assert abs(float(row[f"S_pro_shifted_j{tag}"]) - shifted) < 1e-12
+            assert abs(float(row[f"gap_j{tag}"]) - (s_w - shifted)) < 1e-12
+
+
 def test_scan_conjecture_wehrl(tmp_path, capsys):
     code = main(["scan-conjecture", "--objective", "wehrl", "--twice-l", "1",
                  "--samples", "20", "--restarts", "2", "--seed", "0"])
@@ -156,6 +177,10 @@ def _failed_fit(*args, **kwargs):
     raise DecompositionError("decomposition residual 1e-3 exceeds 1e-9")
 
 
+def _not_before_guard(*args, **kwargs):
+    raise AssertionError("called before the guard was checked")
+
+
 @pytest.mark.parametrize("argv,code,patch", [
     (["figure-projection", "--twice-l", "-1"], 1, None),
     (["figure-projection", "--twice-l", "2", "--samples", "-1"], 1, None),
@@ -166,6 +191,14 @@ def _failed_fit(*args, **kwargs):
     (["scan-conjecture", "--objective", "angular", "--twice-l", "0"], 1, None),
     # the optimizer limit is checked before any sample is drawn
     (["scan-conjecture", "--objective", "wehrl", "--twice-l", "9"], 3, None),
+    # so is the projection j <= 100, before the search is built
+    (["scan-conjecture", "--objective", "projection:101", "--twice-l", "2"], 3,
+     [(cli, "random_pure", _not_before_guard), (majorize, "objective_fn", _not_before_guard)]),
+    # both commands read the one limit
+    (["figure-projection", "--twice-l", "2", "--j-list", "1"], 3,
+     [(channels, "MAX_PROJECTION_TWICE_J", 1)]),
+    (["scan-conjecture", "--objective", "projection:1", "--twice-l", "2"], 3,
+     [(channels, "MAX_PROJECTION_TWICE_J", 1)]),
     (["sun", "--modes", "0", "--bosons", "1", "--copies", "1", "--mode", "clone"], 1, None),
     (["sun", "--modes", "2", "--bosons", "-1", "--copies", "1", "--mode", "clone"], 1, None),
     (["sun", "--modes", "2", "--bosons", "1", "--copies", "-1", "--mode", "majorize"], 1, None),

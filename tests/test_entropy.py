@@ -8,6 +8,7 @@ from spinwehrl import entropy
 from spinwehrl.coherent import StellarRoots, amplitude_grid, coherent_state, state_from_roots
 from spinwehrl.entropy import (
     chordal_data,
+    clamp_eigenvalues,
     povm_entropy,
     renyi_wehrl_moment,
     renyi_wehrl_projector,
@@ -42,6 +43,14 @@ def test_von_neumann_basics():
     assert von_neumann(DensityMatrix.maximally_mixed(spin)) == pytest.approx(np.log(3))
     psi = random_pure(spin, np.random.default_rng(0))
     assert von_neumann(pure_density(psi)) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_clamp_eigenvalues_window():
+    # the one PSD clamp rule: descending, noise in [-1e-12, 0) set to 0
+    assert clamp_eigenvalues([0.25, -5e-13, 0.75, 0.0]).tolist() == [0.75, 0.25, 0.0, 0.0]
+    assert clamp_eigenvalues([]).size == 0
+    with pytest.raises(ValueError, match="clamp window"):
+        clamp_eigenvalues([1.0, -2e-12])
 
 
 def test_povm_entropy_matches_direct_sum():

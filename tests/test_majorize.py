@@ -42,6 +42,12 @@ def test_majorizes_trace_mismatch():
         majorizes([0.7, 0.2], [0.5, 0.5])
 
 
+def test_majorizes_clamps_spectra():
+    assert majorizes([1.0, -5e-13], [0.5, 0.5])
+    with pytest.raises(ValueError, match="clamp window"):
+        majorizes([1.0, -2e-12], [0.5, 0.5])
+
+
 def test_worst_violation_sign():
     assert worst_majorization_violation([1.0, 0.0], [0.5, 0.5]) <= 0
     assert worst_majorization_violation([0.5, 0.5], [0.8, 0.2]) == pytest.approx(0.3)
@@ -80,6 +86,8 @@ def test_minimize_projection_objective():
 def test_minimize_guard():
     with pytest.raises(ValueError):
         minimize_entropy(SpinLabel(10), "wehrl")
+    with pytest.raises(ValueError, match="twice_j <= 200"):
+        minimize_entropy(SpinLabel(2), ("projection", SpinLabel(201)))
 
 
 @pytest.mark.parametrize("objective", OBJECTIVES, ids=str)
