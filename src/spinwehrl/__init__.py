@@ -6,7 +6,6 @@ from .su2 import (
     PureState,
     SphereDirection,
     SpinLabel,
-    clebsch_gordan,
     generators,
     random_density,
     random_pure,

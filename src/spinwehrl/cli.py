@@ -19,7 +19,7 @@ Exit codes, each failure with a one-line message on stderr:
   angular channel at l = 0);
 * 2 conjecture-scan counterexample;
 * 3 a guard or numerical limit was hit: a resource guard (figure-projection
-  twice_l <= 8 and j <= 100, the optimizer's twice_l <= 8 and projection
+  twice_l <= 8 and j <= 100, the optimizer's twice_l <= 16 and projection
   j <= 100, tensor and output dimensions), a Wehrl quadrature that did not
   converge within its grid limit, or a measure-and-prepare decomposition
   above its residual threshold.
@@ -292,9 +292,10 @@ def cmd_scan_conjecture(args) -> int:
         _require_angular_spin(l)
     elif isinstance(objective, tuple):
         _require_projection_j("optimizer", objective[1])
-    _, final = majorize.objective_fn(l, objective)
+    search = majorize.objective_fn(l, objective)
     rng = np.random.default_rng(args.seed)
-    sample_min = min(final(random_pure(l, rng).amplitudes) for _ in range(args.samples))
+    samples = (random_pure(l, rng).amplitudes for _ in range(args.samples))
+    sample_min = min(search(np.concatenate([a.real, a.imag]))[0] for a in samples)
     opt = majorize.minimize_entropy(l, objective, restarts=args.restarts, seed=args.seed)
     benchmark = _coherent_benchmark(l, objective)
     tol = 1e-6
@@ -329,8 +330,7 @@ def cmd_sun(args) -> int:
     elif args.mode == "prepare":
         coh = fock.coherent_condensate(space, e0)
         T = fock.measure_prepare_channel(space, coh, args.copies)
-        spec = np.maximum(np.linalg.eigvalsh(T)[::-1], 0.0)
-        results["spectrum"] = [float(x) for x in spec]
+        results["spectrum"] = [float(x) for x in entropy.clamped_spectrum(T)]
     elif args.mode == "decompose":
         res = fock.decompose_measure_prepare(args.modes, args.bosons, args.copies, seed=args.seed)
         results["coefficients"] = [float(c) for c in res.coefficients]

@@ -14,11 +14,19 @@ from dataclasses import dataclass
 from math import pi
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.linalg import expm
 
 from .errors import QuadratureOrderError
 from .quadrature import QuadratureSpec, sphere_nodes
-from .su2 import DensityMatrix, PureState, SphereDirection, SpinLabel, geodesic_angle, log_binom_sqrt
+from .su2 import (
+    DensityMatrix,
+    PureState,
+    SphereDirection,
+    SpinLabel,
+    generators,
+    geodesic_angle,
+    log_binom_sqrt,
+)
 
 __all__ = [
     "StellarRoots",
@@ -115,11 +123,6 @@ def completeness_defect(l: SpinLabel, spec: QuadratureSpec) -> float:
     return float(np.max(np.abs(resolution - np.eye(l.dim))))
 
 
-def _root_to_direction(z: complex) -> SphereDirection:
-    # stereographic chart: z = tan(theta/2) e^{i phi}, north pole at z = 0
-    return SphereDirection(2 * np.arctan(abs(z)), float(np.angle(z)))
-
-
 def _majorana_coefficients(l: SpinLabel, amplitudes: np.ndarray):
     """Ascending coefficients of each state's Majorana polynomial (rows of
     `amplitudes` are states), scaled to unit maximum modulus, and the degrees
@@ -158,17 +161,11 @@ def _majorana_roots(coefs: np.ndarray, degrees: np.ndarray) -> np.ndarray:
 
 
 def stellar_roots(psi: PureState) -> StellarRoots:
-    """Majorana roots of a pure state as Bloch-sphere points.
-
-    The polynomial has coefficient (-1)^(l-m) C(2l,l+m)^(1/2) a_m at z^(l+m);
-    each finite root is refined by one Newton step, and degree deficiency
-    contributes roots at the south pole.
-    """
-    coefs, degrees = _majorana_coefficients(psi.spin, psi.amplitudes[None])
-    roots = _majorana_roots(coefs, degrees)[0]
-    deg = degrees[0]
-    roots[:deg] = _newton_polish(coefs[0, : deg + 1], roots[:deg])
-    return StellarRoots(psi.spin, tuple(_root_to_direction(z) for z in roots))
+    """Majorana roots of a pure state as Bloch-sphere points: the antipodes of
+    its Husimi zeros, with the roots at z = inf on the south pole."""
+    points = -husimi_zeros(psi.spin, psi.amplitudes[None])[0]
+    return StellarRoots(psi.spin, tuple(SphereDirection(float(np.arccos(np.clip(z, -1.0, 1.0))),
+                                                        float(np.arctan2(y, x))) for x, y, z in points))
 
 
 def husimi_zeros(l: SpinLabel, amplitudes: np.ndarray) -> np.ndarray:
@@ -184,19 +181,6 @@ def husimi_zeros(l: SpinLabel, amplitudes: np.ndarray) -> np.ndarray:
     xy = 2 * np.where(outside, u.conj(), u) / (1 + s)
     height = np.where(outside, s - 1, 1 - s) / (1 + s)
     return -np.stack([xy.real, xy.imag, height], axis=-1)
-
-
-def _newton_polish(asc_coefs: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    if len(roots) == 0:
-        return roots
-    dcoefs = asc_coefs[1:] * np.arange(1, len(asc_coefs))
-    p = np.polynomial.polynomial.polyval(roots, asc_coefs)
-    dp = np.polynomial.polynomial.polyval(roots, dcoefs)
-    step = np.where(np.abs(dp) > 1e-14, p / np.where(np.abs(dp) > 1e-14, dp, 1.0), 0.0)
-    polished = roots - step
-    # keep the polish only where it actually reduced the residual
-    better = np.abs(np.polynomial.polynomial.polyval(polished, asc_coefs)) <= np.abs(p)
-    return np.where(better, polished, roots)
 
 
 def state_from_roots(roots: StellarRoots) -> PureState:
@@ -223,28 +207,51 @@ def state_from_roots(roots: StellarRoots) -> PureState:
 def closest_coherent(psi: PureState) -> tuple[SphereDirection, float]:
     """Coherent state of maximal Husimi overlap with psi.
 
-    Coarse 32x64 grid search followed by a local simplex refinement; when the
-    maximum is degenerate (e.g. rotationally symmetric states) any one
-    maximizer is returned.
+    Damped Newton steps on the overlap from the maximum of a coarse 32x64
+    grid, in the frame that rotates that maximum onto the equator so that no
+    step meets a pole; when the maximum is degenerate (e.g. rotationally
+    symmetric states) any one maximizer is returned.
     """
     l = psi.spin
     thetas = np.arccos(np.linspace(1, -1, 32))
     phis = 2 * pi * np.arange(64) / 64
     V = _amplitudes(l, thetas, phis).reshape(-1, l.dim)
-    vals = np.abs(V.conj() @ psi.amplitudes) ** 2
-    i = int(np.argmax(vals))
-    t0, p0 = thetas[i // 64], phis[i % 64]
+    # einsum, not a BLAS gemv: at 2048 nodes the gemv wakes numpy's thread
+    # pool, which made each call up to 4x slower on a 2-CPU machine
+    i = int(np.argmax(np.abs(np.einsum("nj,j->n", V, psi.amplitudes.conj()))))
+    # exp(-i alpha L2) exp(i p0 Lz) takes the grid maximum to (pi/2, 0)
+    alpha, p0 = pi / 2 - thetas[i // 64], phis[i % 64]
+    _, _, _, _, L2, Lz = generators(l)
+    m = np.diag(Lz).real
+    D = (-1j * L2).real  # r'(theta) = -i L2 r(theta) for the radial amplitudes
+    q0 = expm(-1j * alpha * L2) @ (np.exp(1j * m * p0) * psi.amplitudes)
 
-    def neg(x):
-        a = _amplitudes(l, np.array([x[0]]), np.array([x[1]]))[0, 0]
-        return -abs(np.vdot(a, psi.amplitudes)) ** 2
+    def overlap(x):
+        """|<Omega|q0>|^2 at Omega = (x[0], x[1]), its gradient and Hessian."""
+        r = _amplitudes(l, x[:1], np.zeros(1))[0, 0].real
+        q = np.exp(1j * m * x[1]) * q0  # <Omega| has amplitudes r_m e^(i m phi)
+        g = np.stack([r, D @ r, D @ D @ r]) @ np.stack([q, 1j * m * q, -m * m * q]).T
+        dg = np.array([g[1, 0], g[0, 1]])
+        ddg = np.array([[g[2, 0], g[1, 1]], [g[1, 1], g[0, 2]]])
+        hess = 2 * np.real(np.outer(dg.conj(), dg) + np.conj(g[0, 0]) * ddg)
+        return abs(g[0, 0]) ** 2, 2 * np.real(np.conj(g[0, 0]) * dg), hess
 
-    res = minimize(neg, [t0, p0], method="Nelder-Mead",
-                   options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 400})
-    # fold theta outside [0, pi] back onto the sphere
-    t, p = res.x
-    t = t % (2 * pi)
-    if t > pi:
-        t, p = 2 * pi - t, p + pi
-    best = SphereDirection(float(t), float(p))
-    return best, float(-neg([best.theta, best.phi]))
+    x = np.array([pi / 2, 0.0])
+    value, grad, hess = overlap(x)
+    for _ in range(50):
+        # Newton step with |eigenvalues|, an ascent direction also where the
+        # Hessian is not negative definite, of at most 0.2 rad (two grid
+        # spacings), halved until it raises the overlap or reaches rounding
+        lam, U = np.linalg.eigh(hess)
+        step = U @ (U.T @ grad / np.maximum(np.abs(lam), 1e-300))
+        step *= min(1.0, 0.2 / max(np.linalg.norm(step), 1e-300))
+        while np.linalg.norm(step) > 1e-12 and (trial := overlap(x + step))[0] <= value:
+            step /= 2
+        if np.linalg.norm(step) <= 1e-12:
+            break
+        x, (value, grad, hess) = x + step, trial
+    # back to the original frame: n = Rz(p0) Ry(-alpha) n'
+    nx, ny, nz = np.sin(x[0]) * np.cos(x[1]), np.sin(x[0]) * np.sin(x[1]), np.cos(x[0])
+    theta = np.arccos(np.clip(np.sin(alpha) * nx + np.cos(alpha) * nz, -1.0, 1.0))
+    phi = np.arctan2(ny, np.cos(alpha) * nx - np.sin(alpha) * nz) + p0
+    return SphereDirection(float(theta), float(phi)), float(value)

@@ -1,6 +1,6 @@
 """Entropy functionals: von Neumann, POVM, Wehrl, closed forms, Renyi moments.
 
-Pure-state Wehrl entropies are exact, from the zeros of the Husimi function.
+Pure-state Wehrl entropies and their gradients are exact, from the Husimi zeros.
 The mixed-state Wehrl integral, also the pure route's oracle, is evaluated by
 Gauss-Legendre x uniform-phi quadrature with node doubling until successive
 values agree to the requested tolerance.
@@ -18,17 +18,15 @@ from math import log
 import numpy as np
 from scipy.special import xlogy
 
-from .coherent import amplitude_grid, husimi_zeros, stellar_roots
+from .coherent import amplitude_grid, husimi_zeros
 from .errors import ConvergenceError, QuadratureOrderError, ResourceGuardError
 from .quadrature import QuadratureSpec, sphere_points
 from .su2 import (
     EIGENVALUE_CLAMP,
     DensityMatrix,
     PureState,
-    SphereDirection,
     SpinLabel,
     coupling_isometry,
-    geodesic_angle,
 )
 
 #: Calibrated scale of the "squared chordal distance" entering the spin-1 and
@@ -148,34 +146,50 @@ def wehrl_pure_batch(l: SpinLabel, amplitudes: np.ndarray,
     integrand is exact on the (2l+1) x (4l+1) grid, where K normalizes the
     product. A state whose product misses f there by EXACT_RESIDUAL_TOL or
     more takes `wehrl(rho, spec)` instead."""
-    amplitudes = np.asarray(amplitudes, dtype=complex)
+    return _exact_wehrl(l, np.asarray(amplitudes, dtype=complex), spec)[0]
+
+
+def wehrl_pure_gradient(l: SpinLabel, v) -> tuple[float, np.ndarray]:
+    """Exact Wehrl entropy S of v/|v|, for amplitudes v of any norm n = |v|^2,
+    and dS/dv* = -(d/n) [V^T (c a) - v (c . f)] from f = |a|^2 / n, a = V* v,
+    c = w (1 + ln f). With ln f replaced by ln K + sum_i G(n.z_i), as in
+    `wehrl_pure_batch`, each integrand has degree <= 4l and is exact on the
+    same grid; a quadrature fallback value keeps the root formula's gradient."""
+    v = np.asarray(v, dtype=complex)
+    values, V, w, a, f, log_f = _exact_wehrl(l, v[None], None)
+    c = w * (1 + log_f[0])
+    grad = -(l.dim / np.vdot(v, v).real) * (np.einsum("n,ni->i", c * a[0], V) - v * (c @ f[0]))
+    return float(values[0]), grad
+
+
+def _exact_wehrl(l: SpinLabel, amplitudes: np.ndarray, spec: QuadratureSpec | None):
+    """Entropies of the rows v of `amplitudes`, any norm, by the root formula
+    of `wehrl_pure_batch` with its quadrature fallback, and the terms of
+    `wehrl_pure_gradient`: the (2l+1) x (4l+1) grid's amplitudes V and weights
+    w, and per row and node a = V* v, f = |a|^2 / |v|^2 and ln K + sum_i G(n.z_i)."""
     exact = QuadratureSpec(l.twice_l + 1, 2 * l.twice_l + 1)
     V, w = amplitude_grid(l, exact)
-    f = np.abs(amplitudes @ V.conj().T) ** 2  # (states, nodes)
+    a = np.einsum("sj,nj->sn", amplitudes, V.conj())
+    f = (a.real ** 2 + a.imag ** 2) / np.einsum("sj,sj->s", amplitudes.conj(), amplitudes).real[:, None]
     t = husimi_zeros(l, amplitudes) @ sphere_points(exact).T  # (states, 2l, nodes)
     product = np.prod((1 - t) / 2, axis=1)
     K = 1 / (l.dim * product @ w)
     residual = np.max(np.abs(f - K[:, None] * product), axis=1)
     k = np.arange(l.twice_l + 1)
     kernel = -(2 * k + 1) / np.maximum(k * (k + 1), 1)  # lambda_k (2k+1)
-    G = np.polynomial.legendre.legval(t, kernel)
-    values = -np.log(K) - l.dim * np.einsum("sn,sin,n->s", f, G, w)
+    log_f = np.log(K)[:, None] + np.polynomial.legendre.legval(t, kernel).sum(axis=1)
+    values = -l.dim * np.einsum("sn,sn,n->s", f, log_f, w)
     for i in np.flatnonzero(~(residual < EXACT_RESIDUAL_TOL)):
         values[i] = wehrl(PureState(l, amplitudes[i], normalize=True).density(), spec)
-    return values
-
-
-def chordal_sq(a: SphereDirection, b: SphereDirection) -> float:
-    """Squared chordal distance in the calibrated convention (radius 1/2)."""
-    return float(CHORDAL_SCALE * np.sin(geodesic_angle(a, b) / 2) ** 2)
+    return values, V, w, a, f, log_f
 
 
 def chordal_data(psi: PureState) -> ChordalData:
-    """Pairwise squared chordal distances between the stellar roots of psi."""
-    roots = stellar_roots(psi).roots
-    n = len(roots)
-    vals = tuple(chordal_sq(roots[i], roots[j]) for i in range(n) for j in range(i + 1, n))
-    return ChordalData(vals)
+    """Pairwise squared chordal distances sin^2(Theta/2) = (1 - cos Theta)/2
+    between the stellar roots of psi, the antipodes of its Husimi zeros."""
+    z = husimi_zeros(psi.spin, psi.amplitudes[None])[0]
+    i, j = np.triu_indices(len(z), 1)
+    return ChordalData(tuple(float(x) for x in CHORDAL_SCALE * (1 - np.sum(z[i] * z[j], axis=1)) / 2))
 
 
 def wehrl_closed(spin: SpinLabel, chordal: ChordalData) -> float:

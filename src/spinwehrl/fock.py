@@ -15,6 +15,7 @@ from math import comb, factorial, prod, sqrt
 
 import numpy as np
 
+from .entropy import clamped_spectrum
 from .errors import DecompositionError, ResourceGuardError
 
 CLONING_DIM_GUARD = 10_000
@@ -70,11 +71,6 @@ def annihilation_operator(n_modes: int, n_bosons: int, mode: int) -> np.ndarray:
             lowered = occ[:mode] + (occ[mode] - 1,) + occ[mode + 1:]
             A[dst.index(lowered), col] = sqrt(occ[mode])
     return A
-
-
-def creation_operator(n_modes: int, n_bosons: int, mode: int) -> np.ndarray:
-    """a*_mode as a matrix H(N, M) -> H(N, M+1); adjoint of annihilation."""
-    return annihilation_operator(n_modes, n_bosons + 1, mode).T
 
 
 @lru_cache(maxsize=None)
@@ -146,7 +142,7 @@ def cloning_channel(space: SymmetricSpace, rho: np.ndarray, k: int) -> FockChann
     rho = np.asarray(rho, dtype=complex)
     out = apply_cloning(space, rho, k)
     out = (out + out.conj().T) / 2
-    spectrum = np.maximum(np.linalg.eigvalsh(out)[::-1], 0.0)
+    spectrum = clamped_spectrum(out)
     return FockChannelOutput(SymmetricSpace(space.n_modes, space.n_bosons + k), out, spectrum)
 
 

@@ -6,17 +6,13 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import xlogy
 
 from . import channels, entropy
-from .coherent import amplitude_grid, closest_coherent
+from .coherent import closest_coherent
 from .su2 import PureState, SphereDirection, SpinLabel
 
 #: Largest twice_l `minimize_entropy` accepts; the CLI checks it before sampling.
-OPTIMIZER_MAX_TWICE_L = 8
-#: Floor under the logarithms of the gradients: x ln x -> 0 as x -> 0, so the
-#: floored term vanishes where its weight (an amplitude or an eigenvalue) does.
-_TINY = np.finfo(float).tiny
+OPTIMIZER_MAX_TWICE_L = 16
 #: Tighter than scipy's defaults (ftol 2.2e-9, gtol 1e-5), whose single starts
 #: ended up to 2.3e-7 above the coherent minimum at twice_l = 8; these reach
 #: 3.5e-13 for about 40% more iterations.
@@ -68,7 +64,7 @@ class OptimizationResult:
 
 # The search functions contract with einsum, not matmul: numpy and scipy each
 # carry an OpenBLAS thread pool, and waking numpy's between L-BFGS-B steps made
-# the Wehrl minimization 5-10x slower on a 2-CPU machine.
+# a minimization 5-10x slower on a 2-CPU machine.
 
 
 def _real_gradient(g: np.ndarray) -> np.ndarray:
@@ -91,7 +87,9 @@ def _gram_search(l: SpinLabel, factor):
         A[support] = np.einsum("i,ik->k", v, B)
         lam, U = np.linalg.eigh(A.conj().T @ A / n)
         lam = np.maximum(lam, 0.0)
-        dlam = 1 + np.log(np.maximum(lam, _TINY))  # M = U diag(dlam) U^dag
+        # M = U diag(dlam) U^dag; the floor under the logarithm only touches
+        # terms that vanish with their eigenvalue, as x ln x -> 0
+        dlam = 1 + np.log(np.maximum(lam, np.finfo(float).tiny))
         AM = A @ ((U * dlam) @ U.conj().T)
         adjoint = np.einsum("ik,k->i", B, AM[support].conj()).conj()  # A^*(A M)
         grad = -(adjoint - v * np.sum(lam * dlam)) / n
@@ -101,45 +99,23 @@ def _gram_search(l: SpinLabel, factor):
 
 
 def objective_fn(l: SpinLabel, objective):
-    """Returns (search, final) for an entropy objective over pure states.
+    """The function x -> (entropy, gradient in x) of an entropy objective over
+    pure states, where x holds the amplitudes x[:d] + i x[d:] of any norm.
 
-    `search` maps real parameters x, the amplitudes x[:d] + i x[d:] of any
-    norm, to the entropy and its gradient in x; `final` maps a normalized
-    amplitude vector to the entropy. The Wehrl search runs on the one grid
-    after the adaptive quadrature's starting level; the final value is the
-    exact pure-state one."""
+    The value is the one the library reports for the normalized state: the
+    exact pure-state Wehrl entropy, or the entropy of the Gram spectrum."""
     d = l.dim
     if objective == "wehrl":
-        V, w = amplitude_grid(l, entropy.starting_spec(l.twice_l).doubled())
-        V_bar = V.conj()
-
         def search(x):
-            v = x[:d] + 1j * x[d:]
-            n = np.vdot(v, v).real
-            a = np.einsum("ni,i->n", V_bar, v)
-            f = (a.real ** 2 + a.imag ** 2) / n
-            c = w * (1 + np.log(np.maximum(f, _TINY)))
-            # dS/dv* = -(d/n) [V^T (c a) - v (c . f)], from f = |V* v|^2 / n
-            grad = -(d / n) * (np.einsum("n,ni->i", c * a, V) - v * np.sum(c * f))
-            return -d * np.sum(w * xlogy(f, f)), _real_gradient(grad)
+            value, grad = entropy.wehrl_pure_gradient(l, x[:d] + 1j * x[d:])
+            return value, _real_gradient(grad)
 
-        def final(psi):
-            return entropy.wehrl_pure(PureState(l, psi))
-
-        return search, final
+        return search
     if objective == "angular":
-        def final(psi):
-            g = channels.angular_gram(PureState(l, psi))
-            return entropy.entropy_of_spectrum(entropy.clamped_spectrum(g))
-
-        return _gram_search(l, channels.angular_factor), final
+        return _gram_search(l, channels.angular_factor)
     if isinstance(objective, tuple) and objective[0] == "projection":
         j = objective[1]
-
-        def final(psi):
-            return channels.projection_entropy_pure(PureState(l, psi), j)
-
-        return _gram_search(l, lambda psi: channels.projection_dual_factor(psi, j)), final
+        return _gram_search(l, lambda psi: channels.projection_dual_factor(psi, j))
     raise ValueError(f"unknown objective {objective!r}")
 
 
@@ -157,7 +133,7 @@ def minimize_entropy(l: SpinLabel, objective, restarts: int = 16, seed: int = 0)
         raise ValueError(f"optimizer guard: twice_l <= {OPTIMIZER_MAX_TWICE_L}")
     if isinstance(objective, tuple) and objective[1].twice_l > channels.MAX_PROJECTION_TWICE_J:
         raise ValueError(f"optimizer guard: twice_j <= {channels.MAX_PROJECTION_TWICE_J}")
-    search, final = objective_fn(l, objective)
+    search = objective_fn(l, objective)
     d = l.dim
     best = None
     total_iters = 0
@@ -167,11 +143,8 @@ def minimize_entropy(l: SpinLabel, objective, restarts: int = 16, seed: int = 0)
         res = minimize(search, x0, jac=True, method="L-BFGS-B", options=_LBFGS_OPTIONS)
         total_iters += res.nit
         any_converged = any_converged or bool(res.success)
-        v = res.x[:d] + 1j * res.x[d:]
-        v = v / np.linalg.norm(v)
-        val = final(v)
-        if best is None or val < best[0]:
-            best = (val, v)
+        if best is None or res.fun < best[0]:
+            best = (res.fun, res.x[:d] + 1j * res.x[d:])
     psi = PureState(l, best[1], normalize=True)
     direction, fidelity = closest_coherent(psi)
     return OptimizationResult(psi, float(best[0]), total_iters, restarts,

@@ -8,6 +8,7 @@ polynomials in u = cos(theta) up to degree 2*n_theta - 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import pi
 
 import numpy as np
@@ -41,10 +42,13 @@ def sphere_nodes(spec: QuadratureSpec):
     return thetas, phis, w / 2, np.full(spec.n_phi, 1.0 / spec.n_phi)
 
 
+@lru_cache(maxsize=64)
 def sphere_points(spec: QuadratureSpec) -> np.ndarray:
     """Unit vectors of the product-grid nodes, shape (n_theta * n_phi, 3),
-    theta-major like the flattened weights."""
+    theta-major like the flattened weights; cached, read-only."""
     thetas, phis, _, _ = sphere_nodes(spec)
     sin = np.sin(thetas)[:, None]
-    return np.stack(np.broadcast_arrays(sin * np.cos(phis), sin * np.sin(phis),
-                                        np.cos(thetas)[:, None]), axis=-1).reshape(-1, 3)
+    points = np.stack(np.broadcast_arrays(sin * np.cos(phis), sin * np.sin(phis),
+                                          np.cos(thetas)[:, None]), axis=-1).reshape(-1, 3)
+    points.flags.writeable = False
+    return points

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lgamma, log, pi
+from math import lgamma, pi
 
 import numpy as np
 from scipy.linalg import expm
@@ -159,74 +159,6 @@ def generators(spin: SpinLabel):
     L2 = (Lp - Lm) / (2j)
     L3 = Lz
     return Lz, Lp, Lm, L1, L2, L3
-
-
-def _lgf(twice_n: int) -> float:
-    """log((twice_n/2)!) for an even, non-negative twice-value."""
-    if twice_n < 0 or twice_n % 2:
-        raise ValueError(f"invalid factorial argument twice-value {twice_n}")
-    return lgamma(twice_n // 2 + 1)
-
-
-def cg_twice(tl1: int, tm1: int, tl2: int, tm2: int, tL: int, tM: int) -> float:
-    """Clebsch-Gordan coefficient with all arguments as twice-values.
-
-    The general route behind `clebsch_gordan` and the tests' oracle: Racah's
-    single-sum formula in log space, accurate up to twice_l of a few hundred.
-    """
-    if tm1 + tm2 != tM:
-        return 0.0
-    if abs(tm1) > tl1 or abs(tm2) > tl2 or abs(tM) > tL:
-        return 0.0
-    if not (abs(tl1 - tl2) <= tL <= tl1 + tl2) or (tl1 + tl2 + tL) % 2:
-        return 0.0
-    pref = 0.5 * (
-        log(tL + 1.0)
-        + _lgf(tl1 + tl2 - tL) + _lgf(tl1 - tl2 + tL) + _lgf(-tl1 + tl2 + tL)
-        - _lgf(tl1 + tl2 + tL + 2)
-        + _lgf(tL + tM) + _lgf(tL - tM)
-        + _lgf(tl1 - tm1) + _lgf(tl1 + tm1)
-        + _lgf(tl2 - tm2) + _lgf(tl2 + tm2)
-    )
-    kmin = max(0, -(tL - tl2 + tm1) // 2, -(tL - tl1 - tm2) // 2)
-    kmax = min((tl1 + tl2 - tL) // 2, (tl1 - tm1) // 2, (tl2 + tm2) // 2)
-    total = 0.0
-    for k in range(kmin, kmax + 1):
-        ln_den = (
-            _lgf(2 * k)
-            + _lgf(tl1 + tl2 - tL - 2 * k)
-            + _lgf(tl1 - tm1 - 2 * k)
-            + _lgf(tl2 + tm2 - 2 * k)
-            + _lgf(tL - tl2 + tm1 + 2 * k)
-            + _lgf(tL - tl1 - tm2 + 2 * k)
-        )
-        total += (-1.0) ** k * np.exp(pref - ln_den)
-    return float(total)
-
-
-def _as_twice_m(m, name: str) -> int:
-    twice = 2 * m
-    if abs(twice - round(twice)) > 1e-9:
-        raise ValueError(f"{name}={m} is not a half-integer")
-    return int(round(twice))
-
-
-def clebsch_gordan(l1: SpinLabel, l2: SpinLabel, L: SpinLabel, m1, m2, M) -> float:
-    """<l1 m1; l2 m2 | L M> in the Condon-Shortley convention.
-
-    Raises ValueError when the triangle condition or the magnetic ranges are
-    violated; returns 0 when m1 + m2 != M.
-    """
-    tm1, tm2, tM = _as_twice_m(m1, "m1"), _as_twice_m(m2, "m2"), _as_twice_m(M, "M")
-    if not (abs(l1.twice_l - l2.twice_l) <= L.twice_l <= l1.twice_l + l2.twice_l):
-        raise ValueError(f"triangle condition violated for (l1,l2,L)=({l1.l},{l2.l},{L.l})")
-    if (l1.twice_l + l2.twice_l + L.twice_l) % 2:
-        raise ValueError("l1 + l2 + L must be an integer")
-    if abs(tm1) > l1.twice_l or abs(tm2) > l2.twice_l or abs(tM) > L.twice_l:
-        raise ValueError("magnetic quantum number out of range")
-    if (l1.twice_l + tm1) % 2 or (l2.twice_l + tm2) % 2 or (L.twice_l + tM) % 2:
-        raise ValueError("m must differ from l by an integer")
-    return cg_twice(l1.twice_l, tm1, l2.twice_l, tm2, L.twice_l, tM)
 
 
 def log_binom_sqrt(twice_l: int) -> np.ndarray:

@@ -190,7 +190,7 @@ def _not_before_guard(*args, **kwargs):
     (["scan-conjecture", "--objective", "wehrl", "--twice-l", "2", "--samples", "0"], 1, None),
     (["scan-conjecture", "--objective", "angular", "--twice-l", "0"], 1, None),
     # the optimizer limit is checked before any sample is drawn
-    (["scan-conjecture", "--objective", "wehrl", "--twice-l", "9"], 3, None),
+    (["scan-conjecture", "--objective", "wehrl", "--twice-l", "17"], 3, None),
     # so is the projection j <= 100, before the search is built
     (["scan-conjecture", "--objective", "projection:101", "--twice-l", "2"], 3,
      [(cli, "random_pure", _not_before_guard), (majorize, "objective_fn", _not_before_guard)]),

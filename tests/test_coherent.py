@@ -1,7 +1,11 @@
+from math import pi
+
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from spinwehrl.coherent import (
+    _amplitudes,
     closest_coherent,
     coherent_state,
     completeness_defect,
@@ -140,3 +144,40 @@ def test_closest_coherent_recovers_direction():
     found, fid = closest_coherent(psi)
     assert fid == pytest.approx(1.0, abs=1e-10)
     assert geodesic_angle(found, d) < 1e-4
+
+
+def nelder_mead_closest_coherent(psi):
+    """Reference maximizer: the 32x64 grid maximum refined by a 2-D simplex on
+    the overlap, in (theta, phi) of the original frame."""
+    l = psi.spin
+    thetas = np.arccos(np.linspace(1, -1, 32))
+    phis = 2 * pi * np.arange(64) / 64
+    V = _amplitudes(l, thetas, phis).reshape(-1, l.dim)
+    i = int(np.argmax(np.abs(V.conj() @ psi.amplitudes) ** 2))
+
+    def neg(x):
+        a = _amplitudes(l, np.array([x[0]]), np.array([x[1]]))[0, 0]
+        return -abs(np.vdot(a, psi.amplitudes)) ** 2
+
+    res = minimize(neg, [thetas[i // 64], phis[i % 64]], method="Nelder-Mead",
+                   options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 400})
+    return -res.fun
+
+
+@pytest.mark.parametrize("tl", [1, 2, 3, 8, 16])
+def test_closest_coherent_matches_simplex_oracle(tl):
+    # Haar states, and coherent states at both poles and in between
+    rng = np.random.default_rng(40 + tl)
+    spin = SpinLabel(tl)
+    directions = [SphereDirection(0.0, 0.0), SphereDirection(np.pi, 0.3),
+                  SphereDirection(1.0, 2.0), SphereDirection(2.9, 5.0)]
+    states = [random_pure(spin, rng) for _ in range(10)] + [coherent_state(spin, d) for d in directions]
+    for psi in states:
+        found, fid = closest_coherent(psi)
+        assert fid >= nelder_mead_closest_coherent(psi) - 1e-14
+        assert fid == pytest.approx(abs(np.vdot(coherent_state(spin, found).amplitudes,
+                                                psi.amplitudes)) ** 2, abs=1e-14)
+    for d, psi in zip(directions, states[10:]):
+        found, fid = closest_coherent(psi)
+        assert fid == pytest.approx(1.0, abs=1e-12)
+        assert geodesic_angle(found, d) < 1e-6

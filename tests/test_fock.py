@@ -14,7 +14,6 @@ from spinwehrl.fock import (
     cloning_kraus,
     cloning_normalization,
     coherent_condensate,
-    creation_operator,
     decompose_measure_prepare,
     measure_prepare_channel,
     monomial_annihilation,
@@ -31,6 +30,11 @@ def random_state(space, rng):
 
 
 # Independent oracles: second-quantized constructions the library does not use.
+
+
+def creation_operator(n_modes: int, n_bosons: int, mode: int) -> np.ndarray:
+    """a*_mode as a matrix H(N, M) -> H(N, M+1); adjoint of annihilation."""
+    return annihilation_operator(n_modes, n_bosons + 1, mode).T
 
 
 def measure_prepare_second_quantized(space: SymmetricSpace, psi: np.ndarray, k: int) -> np.ndarray:
@@ -149,6 +153,14 @@ def test_cloning_channel_is_trace_preserving_and_covariant():
     lhs = cloning_channel(space, U_in @ rho @ U_in.conj().T, 2).matrix
     rhs = U_out @ out.matrix @ U_out.conj().T
     assert np.max(np.abs(lhs - rhs)) < 1e-11
+
+
+def test_cloning_channel_rejects_non_psd_output():
+    # the one clamp rule: rounding noise is set to 0, a real negative
+    # eigenvalue raises instead of being clamped away
+    space = SymmetricSpace(2, 1)
+    with pytest.raises(ValueError, match="clamp window"):
+        cloning_channel(space, np.diag([1.5, -0.5]), 1)
 
 
 def test_cloning_matches_spin_projection_for_two_modes():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from spinwehrl import entropy
 from spinwehrl.channels import angular_gram, projection_entropy_pure
-from spinwehrl.entropy import clamped_spectrum, entropy_of_spectrum, starting_spec, wehrl_fixed
+from spinwehrl.entropy import clamped_spectrum, entropy_of_spectrum, wehrl_pure
 from spinwehrl.majorize import (
     majorizes,
     minimize_entropy,
@@ -18,7 +19,7 @@ OBJECTIVES = ["wehrl", "angular"] + [("projection", SpinLabel(tj)) for tj in (1,
 def library_entropy(l, objective, psi):
     """The objective by the library's own routes, with no gradient code."""
     if objective == "wehrl":
-        return wehrl_fixed(psi.density(), starting_spec(l.twice_l).doubled())
+        return wehrl_pure(psi)
     if objective == "angular":
         return entropy_of_spectrum(clamped_spectrum(angular_gram(psi)))
     return projection_entropy_pure(psi, objective[1])
@@ -85,7 +86,7 @@ def test_minimize_projection_objective():
 
 def test_minimize_guard():
     with pytest.raises(ValueError):
-        minimize_entropy(SpinLabel(10), "wehrl")
+        minimize_entropy(SpinLabel(17), "wehrl")
     with pytest.raises(ValueError, match="twice_j <= 200"):
         minimize_entropy(SpinLabel(2), ("projection", SpinLabel(201)))
 
@@ -94,7 +95,7 @@ def test_minimize_guard():
 @pytest.mark.parametrize("twice_l", [1, 2, 3, 4])
 def test_search_gradient_matches_central_differences(twice_l, objective):
     l = SpinLabel(twice_l)
-    search, _ = objective_fn(l, objective)
+    search = objective_fn(l, objective)
     rng = np.random.default_rng(twice_l)
     h = 1e-6
     for _ in range(3):
@@ -109,7 +110,7 @@ def test_search_gradient_matches_central_differences(twice_l, objective):
 @pytest.mark.parametrize("twice_l", [1, 2, 3, 4])
 def test_search_value_matches_library_route(twice_l, objective):
     l = SpinLabel(twice_l)
-    search, _ = objective_fn(l, objective)
+    search = objective_fn(l, objective)
     rng = np.random.default_rng(10 + twice_l)
     for _ in range(3):
         x = 0.3 * rng.standard_normal(2 * l.dim)
@@ -124,6 +125,27 @@ def test_single_starts_meet_the_ac11_gates():
         worst_val = max(worst_val, abs(res.best_value - 0.75))
         worst_fid = min(worst_fid, res.coherent_fidelity)
     assert worst_val < 1e-6 and worst_fid >= 1 - 1e-6, (worst_val, worst_fid)
+
+
+@pytest.mark.parametrize("twice_l", [12, 16])
+def test_large_spins_meet_the_ac11_gates(twice_l):
+    res = minimize_entropy(SpinLabel(twice_l), "wehrl", restarts=2, seed=0)
+    assert abs(res.best_value - twice_l / (twice_l + 1)) < 1e-6
+    assert res.coherent_fidelity >= 1 - 1e-6
+
+
+def test_residual_fallback_meets_the_ac11_gates(monkeypatch):
+    # every search point takes the quadrature value with the root gradient
+    monkeypatch.setattr(entropy, "EXACT_RESIDUAL_TOL", 0.0)
+    res = minimize_entropy(SpinLabel(2), "wehrl", restarts=1, seed=0)
+    assert abs(res.best_value - 2 / 3) < 1e-6
+    assert res.coherent_fidelity >= 1 - 1e-6
+
+
+@pytest.mark.parametrize("twice_l", [2, 5])
+def test_best_value_is_the_reported_entropy(twice_l):
+    res = minimize_entropy(SpinLabel(twice_l), "wehrl", restarts=3, seed=4)
+    assert abs(res.best_value - wehrl_pure(res.best_state)) < 1e-12
 
 
 def test_minimize_is_deterministic():
