@@ -38,6 +38,7 @@ import json
 import os
 import sys
 import time
+from functools import lru_cache
 from math import log
 
 import numpy as np
@@ -350,7 +351,9 @@ def cmd_sun(args) -> int:
     return code
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> _Parser:
+    """The CLI parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(prog="spinwehrl", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -42,6 +42,9 @@ MAX_GRID_BYTES = 512 * 2 ** 20
 #: Largest max |f - K prod_i (1 - n.z_i)/2| on the exact grid that keeps a
 #: pure state on the root formula; beyond it the state takes the quadrature.
 EXACT_RESIDUAL_TOL = 1e-10
+#: Rows per `_exact_wehrl` call in `wehrl_pure_batch`; each row holds a few
+#: (2l, (2l+1)(4l+1)) float arrays, about 52 KB at twice_l = 8.
+_WEHRL_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -58,11 +61,12 @@ class ChordalData:
 
 
 def clamp_eigenvalues(values) -> np.ndarray:
-    """Eigenvalues of a PSD matrix sorted descending, with noise in
-    [-EIGENVALUE_CLAMP, 0) clamped to 0; ValueError below that window."""
-    vals = np.sort(np.asarray(values, dtype=float))[::-1]
-    if vals.size and vals[-1] < -EIGENVALUE_CLAMP:
-        raise ValueError(f"eigenvalue {vals[-1]} below the -{EIGENVALUE_CLAMP:g} clamp window")
+    """Eigenvalues of a PSD matrix, or of a stack of them along the last axis,
+    sorted descending, with noise in [-EIGENVALUE_CLAMP, 0) clamped to 0;
+    ValueError below that window."""
+    vals = np.sort(np.asarray(values, dtype=float), axis=-1)[..., ::-1]
+    if vals.size and vals.min() < -EIGENVALUE_CLAMP:
+        raise ValueError(f"eigenvalue {vals.min()} below the -{EIGENVALUE_CLAMP:g} clamp window")
     return np.maximum(vals, 0.0)
 
 
@@ -145,8 +149,13 @@ def wehrl_pure_batch(l: SpinLabel, amplitudes: np.ndarray,
     lambda_k (2k+1) P_k(t), lambda_0 = -1, lambda_k = -1/(k(k+1)). The degree-4l
     integrand is exact on the (2l+1) x (4l+1) grid, where K normalizes the
     product. A state whose product misses f there by EXACT_RESIDUAL_TOL or
-    more takes `wehrl(rho, spec)` instead."""
-    return _exact_wehrl(l, np.asarray(amplitudes, dtype=complex), spec)[0]
+    more takes `wehrl(rho, spec)` instead. Rows go _WEHRL_CHUNK at a time,
+    so memory does not grow with their number."""
+    amplitudes = np.asarray(amplitudes, dtype=complex)
+    values = np.empty(len(amplitudes))
+    for start in range(0, len(amplitudes), _WEHRL_CHUNK):
+        values[start:start + _WEHRL_CHUNK] = _exact_wehrl(l, amplitudes[start:start + _WEHRL_CHUNK], spec)[0]
+    return values
 
 
 def wehrl_pure_gradient(l: SpinLabel, v) -> tuple[float, np.ndarray]:

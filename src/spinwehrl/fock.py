@@ -2,9 +2,15 @@
 
 H(N, M) is the space of M bosons in N modes, dimension C(M+N-1, N-1), with
 occupation tuples ordered lexicographically descending. The cloning channel
-symmetrizes rho (x) 1 over k extra copies via creation-operator strings; the
-measure-and-prepare channel is its dual Gram picture; reduced density maps
-remove bosons via normal-ordered expectations.
+symmetrizes rho (x) 1 over k extra copies. Its Kraus operator
+sqrt(k!/mu!) (a*)^mu sends occupation n to n + mu, so each of its rows has at
+most one nonzero entry: one cached gather table per (N, M, k) holds them all,
+read straight from the occupation basis. Read the other way, the same table
+gives the annihilation strings behind the reduced density maps. The coherent
+condensate's cloning spectrum is closed-form, and the majorization test runs
+one stacked Gram eigensolve per chunk of sampled states. The
+measure-and-prepare channel is the dual Gram picture. The dense Kraus sum, the
+per-sample SVD and the per-entry reduced-density trace are the test oracles.
 """
 
 from __future__ import annotations
@@ -15,10 +21,13 @@ from math import comb, factorial, prod, sqrt
 
 import numpy as np
 
-from .entropy import clamped_spectrum
+from .entropy import clamp_eigenvalues, clamped_spectrum
 from .errors import DecompositionError, ResourceGuardError
 
 CLONING_DIM_GUARD = 10_000
+#: Largest stack of gathered Kraus images, in bytes, that one chunk of
+#: `sun_coherent_majorization_test` builds.
+_MAJORIZE_CHUNK_BYTES = 4 * 2 ** 20
 
 
 @lru_cache(maxsize=None)
@@ -60,29 +69,45 @@ def _basis_index(n_modes: int, n_bosons: int) -> dict:
     return {occ: i for i, occ in enumerate(_occupation_basis(n_modes, n_bosons))}
 
 
-@lru_cache(maxsize=None)
-def annihilation_operator(n_modes: int, n_bosons: int, mode: int) -> np.ndarray:
-    """a_mode as a matrix H(N, M) -> H(N, M-1); entries sqrt(n_mode)."""
-    src = SymmetricSpace(n_modes, n_bosons)
-    dst = SymmetricSpace(n_modes, n_bosons - 1)
-    A = np.zeros((dst.dim, src.dim))
-    for col, occ in enumerate(src.basis):
-        if occ[mode] > 0:
-            lowered = occ[:mode] + (occ[mode] - 1,) + occ[mode + 1:]
-            A[dst.index(lowered), col] = sqrt(occ[mode])
-    return A
+def _occupation_rank(occ: np.ndarray, n_bosons: int) -> np.ndarray:
+    """Position in `_occupation_basis` of each row of `occ`, occupations of
+    n_bosons bosons: the number that agree with it before some mode i and put
+    more bosons into mode i. With b_i bosons after mode i there are
+    C(b_i + N - i - 2, N - i - 1) of those (hockey-stick identity)."""
+    n_modes = occ.shape[1]
+    after = n_bosons - np.cumsum(occ, axis=1)
+    table = np.array([[comb(b + n_modes - i - 2, n_modes - i - 1) for b in range(n_bosons + 1)]
+                      for i in range(n_modes - 1)], dtype=np.intp).reshape(n_modes - 1, n_bosons + 1)
+    return table[np.arange(n_modes - 1), after[:, :-1]].sum(axis=1)
+
+
+def _cloning_output_space(n_modes: int, n_bosons: int, k: int) -> SymmetricSpace:
+    """H(N, M+k), after checking its dimension against CLONING_DIM_GUARD."""
+    out = SymmetricSpace(n_modes, n_bosons + k)
+    if out.dim > CLONING_DIM_GUARD:
+        raise ResourceGuardError(f"output dimension {out.dim} exceeds the guard")
+    return out
 
 
 @lru_cache(maxsize=None)
-def monomial_annihilation(n_modes: int, n_bosons: int, mu: tuple) -> np.ndarray:
-    """Product prod_i a_i^(mu_i) as a matrix H(N, M) -> H(N, M - sum mu)."""
-    op = np.eye(SymmetricSpace(n_modes, n_bosons).dim)
-    m = n_bosons
-    for mode, count in enumerate(mu):
-        for _ in range(count):
-            op = annihilation_operator(n_modes, m, mode) @ op
-            m -= 1
-    return op
+def _cloning_gather(n_modes: int, n_bosons: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Kraus operators K_mu = sqrt(k!/mu!) (a*)^mu / sqrt(s) of the k-copy
+    cloning channel H(N, M) -> H(N, M+k) as a gather table (src, w), both
+    (n_kraus, dim_out), cached and read-only: row r (occupation m) of K_mu
+    holds w[mu, r] = sqrt(prod_i C(m_i, mu_i) / C(M+N-1+k, k)) in column
+    src[mu, r], the index of m - mu; w = 0 and src = 0 where m - mu < 0.
+    The output guard is checked before anything is built."""
+    out = _cloning_output_space(n_modes, n_bosons, k)
+    occ = np.array(out.basis).reshape(out.dim, n_modes)
+    mu = np.array(_occupation_basis(n_modes, k)).reshape(-1, 1, n_modes)
+    binom = np.array([[comb(m, j) for j in range(k + 1)] for m in range(n_bosons + k + 1)], dtype=float)
+    w = np.sqrt(np.prod(binom[occ, mu], axis=-1) / comb(n_bosons + n_modes - 1 + k, k))
+    valid = w > 0
+    src = np.zeros(w.shape, dtype=np.intp)
+    src[valid] = _occupation_rank((occ - mu)[valid], n_bosons)
+    src.setflags(write=False)
+    w.setflags(write=False)
+    return src, w
 
 
 def coherent_condensate(space: SymmetricSpace, omega) -> np.ndarray:
@@ -109,32 +134,33 @@ class FockChannelOutput:
     spectrum: np.ndarray
 
 
-def cloning_kraus(n_modes: int, n_bosons: int, k: int) -> list[np.ndarray]:
-    """Kraus family of the k-copy cloning channel H(N, M) -> H(N, M+k),
-    one operator sqrt(k!/mu!) (a*)^mu per occupation mu of the k new bosons,
-    before the overall 1/sqrt(s) normalization."""
-    ops = []
-    for mu in _occupation_basis(n_modes, k):
-        weight = sqrt(factorial(k) / prod(factorial(n) for n in mu))
-        ops.append(weight * monomial_annihilation(n_modes, n_bosons + k, mu).T)
-    return ops
-
-
 def cloning_normalization(n_modes: int, n_bosons: int, k: int) -> float:
-    """Scalar s with sum K^dag K = s * identity for `cloning_kraus`:
+    """Scalar s with sum K^dag K = s * identity for the Kraus family
+    sqrt(k!/mu!) (a*)^mu, one operator per occupation mu of the k new bosons:
     s = k! C(M+N-1+k, k)."""
     return float(factorial(k) * comb(n_bosons + n_modes - 1 + k, k))
 
 
 def apply_cloning(space: SymmetricSpace, mat: np.ndarray, k: int) -> np.ndarray:
     """Trace-preserving linear extension of the cloning channel to arbitrary
-    (not necessarily normalized) matrices on H(N, M)."""
-    out_space = SymmetricSpace(space.n_modes, space.n_bosons + k)
-    if out_space.dim > CLONING_DIM_GUARD:
-        raise ResourceGuardError(f"output dimension {out_space.dim} exceeds the guard")
-    s = cloning_normalization(space.n_modes, space.n_bosons, k)
-    kraus = cloning_kraus(space.n_modes, space.n_bosons, k)
-    return sum(K @ mat @ K.conj().T for K in kraus) / s
+    (not necessarily normalized) matrices on H(N, M):
+    sum_mu (w_mu w_mu^T) * mat[src_mu][:, src_mu] over the gather table."""
+    src, w = _cloning_gather(space.n_modes, space.n_bosons, k)
+    mat = np.asarray(mat)
+    return sum(np.outer(w_mu, w_mu) * mat[np.ix_(src_mu, src_mu)] for src_mu, w_mu in zip(src, w))
+
+
+def coherent_cloning_spectrum(n_modes: int, n_bosons: int, k: int) -> np.ndarray:
+    """Descending spectrum of Phi^k on a coherent condensate, zero-padded to
+    dim H(N, M+k). For Omega = e_0 (any other is a rotation of it), K_mu sends
+    |M, 0, ..., 0> to the distinct state |M + mu_0, mu_1, ...>, so the output is
+    diagonal with eigenvalue C(M + mu_0, mu_0) / C(M+N-1+k, k) per mu, that is
+    with multiplicity C(k - mu_0 + N - 2, N - 2)."""
+    out = _cloning_output_space(n_modes, n_bosons, k)
+    values = [comb(n_bosons + mu[0], mu[0]) for mu in _occupation_basis(n_modes, k)]
+    spectrum = np.zeros(out.dim)
+    spectrum[:len(values)] = np.array(values, dtype=float) / comb(n_bosons + n_modes - 1 + k, k)
+    return spectrum
 
 
 def cloning_channel(space: SymmetricSpace, rho: np.ndarray, k: int) -> FockChannelOutput:
@@ -146,25 +172,35 @@ def cloning_channel(space: SymmetricSpace, rho: np.ndarray, k: int) -> FockChann
     return FockChannelOutput(SymmetricSpace(space.n_modes, space.n_bosons + k), out, spectrum)
 
 
+@lru_cache(maxsize=None)
+def _annihilation_gather(n_modes: int, n_bosons: int, ell: int) -> tuple[np.ndarray, np.ndarray]:
+    """S_mu = sqrt(ell!/mu!) a^mu : H(N, M) -> H(N, M - ell), one per occupation
+    mu of ell bosons, as a cached, read-only gather pair (up, c), both
+    (n_mu, dim_low): row x of S_mu holds c[mu, x] in column up[mu, x], the
+    index of x + mu. S_mu is K_mu^T for the ell-copy cloning of H(N, M - ell)
+    without its 1/sqrt(s); adding mu keeps the basis order, so up[mu] lists
+    the columns where that K_mu's gather weight is nonzero, in order."""
+    w = _cloning_gather(n_modes, n_bosons - ell, ell)[1]
+    up = np.nonzero(w)[1].reshape(len(w), -1)
+    c = w[w > 0].reshape(len(w), -1) * sqrt(cloning_normalization(n_modes, n_bosons - ell, ell))
+    up.setflags(write=False)
+    c.setflags(write=False)
+    return up, c
+
+
 def reduced_density(space: SymmetricSpace, rho: np.ndarray, ell: int) -> np.ndarray:
-    """gamma^ell(rho) on H(N, ell) from normal-ordered expectations.
+    """gamma^ell(rho) on H(N, ell) from normal-ordered expectations,
+    gamma_{mu nu} = tr(S_mu rho S_nu^T) = sum_x c_mu(x) c_nu(x)
+    rho[up_mu(x), up_nu(x)] over `_annihilation_gather`; dim H(N, M) is held
+    to CLONING_DIM_GUARD.
 
     Normalized so that gamma^ell of a coherent condensate equals
     M!/(M-ell)! |Omega_ell><Omega_ell|; trace is M!/(M-ell)! * tr(rho).
     """
     if ell < 0 or ell > space.n_bosons:
         raise ValueError(f"need 0 <= ell <= {space.n_bosons}, got {ell}")
-    rho = np.asarray(rho, dtype=complex)
-    small = SymmetricSpace(space.n_modes, ell)
-    basis = small.basis
-    gamma = np.zeros((small.dim, small.dim), dtype=complex)
-    mono = {mu: monomial_annihilation(space.n_modes, space.n_bosons, mu) for mu in basis}
-    fac = {mu: prod(factorial(n) for n in mu) for mu in basis}
-    for i, mu in enumerate(basis):
-        for jdx, nu in enumerate(basis):
-            op = mono[nu].conj().T @ mono[mu]  # (a*)^nu a^mu on H(N, M)
-            gamma[i, jdx] = factorial(ell) / sqrt(fac[mu] * fac[nu]) * np.trace(rho @ op)
-    return gamma
+    up, c = _annihilation_gather(space.n_modes, space.n_bosons, ell)
+    return np.einsum("ix,jx,ijx->ij", c, c, np.asarray(rho)[up[:, None], up[None]])
 
 
 @lru_cache(maxsize=None)
@@ -254,31 +290,39 @@ class MajorizationReport:
     coherent_spectrum: np.ndarray
 
 
+def _cloning_spectra(psi: np.ndarray, src: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Descending nonzero cloning spectra, n_kraus values each, of the
+    normalized rows of psi. With B = psi[src] w, the rows of B are the images
+    K_mu psi, and the output sum_mu |K_mu psi><K_mu psi| shares its nonzero
+    eigenvalues with the n_kraus x n_kraus Gram matrix B B^dag."""
+    B = psi[:, src] * w
+    return clamp_eigenvalues(np.linalg.eigvalsh(B @ B.conj().transpose(0, 2, 1)))
+
+
 def sun_coherent_majorization_test(n_modes: int, m_bosons: int, k: int,
                                    samples: int, seed: int = 0,
                                    eps: float = 1e-9) -> MajorizationReport:
     """Compare sorted cloning-channel spectra of Haar-random pure states
-    against the coherent (condensate) benchmark."""
-    space = SymmetricSpace(n_modes, m_bosons)
+    against the coherent (condensate) benchmark; a state violates when one of
+    its prefix sums exceeds the coherent one by more than eps.
+
+    The states are drawn in order, real then imaginary part of each, and
+    processed in chunks whose gathered Kraus images stay within
+    _MAJORIZE_CHUNK_BYTES, with at least one state per chunk."""
+    src, w = _cloning_gather(n_modes, m_bosons, k)
+    coh_spec = coherent_cloning_spectrum(n_modes, m_bosons, k)
+    # both spectra vanish past n_kraus values, so the prefix sums stop there
+    coh_prefix = np.cumsum(coh_spec[:len(src)])
+    dim = SymmetricSpace(n_modes, m_bosons).dim
+    chunk = max(1, _MAJORIZE_CHUNK_BYTES // (np.dtype(complex).itemsize * src.size))
     rng = np.random.default_rng(seed)
-    e0 = np.zeros(n_modes)
-    e0[0] = 1.0
-    coh = coherent_condensate(space, e0)
-    coh_spec = cloning_channel(space, np.outer(coh, coh.conj()), k).spectrum
-    coh_prefix = np.cumsum(coh_spec)
-    s = cloning_normalization(n_modes, m_bosons, k)
-    kraus = np.stack(cloning_kraus(n_modes, m_bosons, k))
     violations = 0
     worst = 0.0
-    for _ in range(samples):
-        psi = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
-        psi /= np.linalg.norm(psi)
-        B = kraus @ psi  # (n_kraus, dim_out); output = B^T conj-gram / s
-        spec = np.sort(np.linalg.svd(B, compute_uv=False) ** 2)[::-1] / s
-        spec = np.pad(spec, (0, len(coh_prefix) - len(spec)))
-        prefix = np.cumsum(spec)
-        gap = float(np.max(prefix - coh_prefix))
-        worst = max(worst, gap)
-        if gap > eps:
-            violations += 1
+    for start in range(0, samples, chunk):
+        x = rng.standard_normal((min(chunk, samples - start), 2, dim))
+        psi = x[:, 0] + 1j * x[:, 1]
+        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+        gaps = np.max(np.cumsum(_cloning_spectra(psi, src, w), axis=1) - coh_prefix, axis=1)
+        violations += int(np.count_nonzero(gaps > eps))
+        worst = max(worst, float(gaps.max()))
     return MajorizationReport(samples, violations, worst, coh_spec)

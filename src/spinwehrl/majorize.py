@@ -86,7 +86,8 @@ def _gram_search(l: SpinLabel, factor):
         A = np.zeros(support.shape, dtype=complex)
         A[support] = np.einsum("i,ik->k", v, B)
         lam, U = np.linalg.eigh(A.conj().T @ A / n)
-        lam = np.maximum(lam, 0.0)
+        # the one clamp rule, back in eigh's ascending order to stay paired with U
+        lam = entropy.clamp_eigenvalues(lam)[::-1]
         # M = U diag(dlam) U^dag; the floor under the logarithm only touches
         # terms that vanish with their eigenvalue, as x ln x -> 0
         dlam = 1 + np.log(np.maximum(lam, np.finfo(float).tiny))

@@ -208,6 +208,11 @@ def _not_before_guard(*args, **kwargs):
      [(entropy, "EXACT_RESIDUAL_TOL", 0.0), (entropy, "MAX_N_THETA", 32)]),
     (["sun", "--modes", "2", "--bosons", "1", "--copies", "1", "--mode", "decompose"], 3,
      [(fock, "decompose_measure_prepare", _failed_fit)]),
+    # H(6, 14) has dimension 11628: the cloning guard fires before the gather
+    # table or the coherent spectrum is built
+    (["sun", "--modes", "6", "--bosons", "6", "--copies", "8", "--mode", "majorize"], 3,
+     [(fock, "_occupation_rank", _not_before_guard),
+      (fock, "coherent_cloning_spectrum", _not_before_guard)]),
 ])
 def test_error_exit_codes(argv, code, patch, monkeypatch, capsys):
     for target in patch or ():
@@ -216,3 +221,31 @@ def test_error_exit_codes(argv, code, patch, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_parser_is_built_once_and_reused(capsys, monkeypatch):
+    calls = [
+        ["sun", "--modes", "3", "--bosons", "2", "--copies", "2", "--mode", "majorize",
+         "--samples", "20", "--seed", "4"],
+        ["sun", "--modes", "0", "--bosons", "1", "--copies", "1", "--mode", "clone"],
+        ["scan-conjecture", "--objective", "wehrl", "--twice-l", "2", "--samples", "3",
+         "--restarts", "1", "--seed", "5"],
+    ]
+
+    def run_all():
+        outputs = []
+        for argv in calls:
+            code = main(argv)
+            captured = capsys.readouterr()
+            report = json.loads(captured.out) if captured.out else None
+            if report:
+                report.pop("timing_s")
+            outputs.append((code, report, captured.err))
+        return outputs
+
+    cli.build_parser.cache_clear()
+    cached = run_all()
+    assert cli.build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in cached] == [0, 1, 0]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)  # a fresh parser per call
+    assert run_all() == cached

@@ -216,6 +216,36 @@ def test_wehrl_pure_batch_agrees_with_scalar():
         assert v == pytest.approx(wehrl_pure(s), abs=1e-9)
 
 
+def test_wehrl_pure_batch_chunks_match_one_call(monkeypatch):
+    rng = np.random.default_rng(12)
+    spin = SpinLabel(3)
+    amps = np.array([random_pure(spin, rng).amplitudes for _ in range(entropy._WEHRL_CHUNK + 44)])
+    chunked = wehrl_pure_batch(spin, amps)
+    monkeypatch.setattr(entropy, "_WEHRL_CHUNK", len(amps))
+    assert np.max(np.abs(chunked - wehrl_pure_batch(spin, amps))) < 1e-14
+
+
+def test_wehrl_pure_batch_memory_does_not_grow_with_rows():
+    rng = np.random.default_rng(13)
+    spin = SpinLabel(8)
+    amps = np.array([random_pure(spin, rng).amplitudes for _ in range(2000)])
+    wehrl_pure_batch(spin, amps[:2])  # builds the cached grid outside the measurement
+    peaks = []
+    for rows in (300, 2000):
+        tracemalloc.start()
+        wehrl_pure_batch(spin, amps[:rows])
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] <= 1.2 * peaks[0]
+
+
+def test_clamp_eigenvalues_acts_on_each_row_of_a_stack():
+    stack = [[0.25, -5e-13, 0.75], [0.1, 0.6, 0.3]]
+    assert clamp_eigenvalues(stack).tolist() == [[0.75, 0.25, 0.0], [0.6, 0.3, 0.1]]
+    with pytest.raises(ValueError, match="clamp window"):
+        clamp_eigenvalues([[1.0, 0.0], [1.0, -2e-12]])
+
+
 def test_wehrl_exceeds_von_neumann():
     rng = np.random.default_rng(3)
     for _ in range(10):

@@ -1,22 +1,23 @@
 import math
+import tracemalloc
+from functools import lru_cache
 from math import factorial, prod, sqrt
 
 import numpy as np
 import pytest
 
+from spinwehrl import fock
 from spinwehrl.channels import projection_channel
 from spinwehrl.errors import DecompositionError, ResourceGuardError
 from spinwehrl.fock import (
     SymmetricSpace,
-    annihilation_operator,
     apply_cloning,
     cloning_channel,
-    cloning_kraus,
     cloning_normalization,
+    coherent_cloning_spectrum,
     coherent_condensate,
     decompose_measure_prepare,
     measure_prepare_channel,
-    monomial_annihilation,
     reduced_density,
     sun_coherent_majorization_test,
     symmetric_embedding_isometry,
@@ -30,6 +31,89 @@ def random_state(space, rng):
 
 
 # Independent oracles: second-quantized constructions the library does not use.
+
+
+@lru_cache(maxsize=None)
+def annihilation_operator(n_modes: int, n_bosons: int, mode: int) -> np.ndarray:
+    """a_mode as a matrix H(N, M) -> H(N, M-1); entries sqrt(n_mode)."""
+    src = SymmetricSpace(n_modes, n_bosons)
+    dst = SymmetricSpace(n_modes, n_bosons - 1)
+    A = np.zeros((dst.dim, src.dim))
+    for col, occ in enumerate(src.basis):
+        if occ[mode] > 0:
+            lowered = occ[:mode] + (occ[mode] - 1,) + occ[mode + 1:]
+            A[dst.index(lowered), col] = sqrt(occ[mode])
+    return A
+
+
+@lru_cache(maxsize=None)
+def monomial_annihilation(n_modes: int, n_bosons: int, mu: tuple) -> np.ndarray:
+    """Product prod_i a_i^(mu_i) as a matrix H(N, M) -> H(N, M - sum mu)."""
+    op = np.eye(SymmetricSpace(n_modes, n_bosons).dim)
+    m = n_bosons
+    for mode, count in enumerate(mu):
+        for _ in range(count):
+            op = annihilation_operator(n_modes, m, mode) @ op
+            m -= 1
+    return op
+
+
+def cloning_kraus(n_modes: int, n_bosons: int, k: int) -> list[np.ndarray]:
+    """Dense Kraus family of the k-copy cloning channel H(N, M) -> H(N, M+k),
+    one operator sqrt(k!/mu!) (a*)^mu per occupation mu of the k new bosons,
+    before the overall 1/sqrt(s) normalization."""
+    ops = []
+    for mu in SymmetricSpace(n_modes, k).basis:
+        weight = sqrt(factorial(k) / prod(factorial(n) for n in mu))
+        ops.append(weight * monomial_annihilation(n_modes, n_bosons + k, mu).T)
+    return ops
+
+
+def apply_cloning_dense(space: SymmetricSpace, mat: np.ndarray, k: int) -> np.ndarray:
+    s = cloning_normalization(space.n_modes, space.n_bosons, k)
+    return sum(K @ mat @ K.conj().T for K in cloning_kraus(space.n_modes, space.n_bosons, k)) / s
+
+
+def reduced_density_loop(space: SymmetricSpace, rho: np.ndarray, ell: int) -> np.ndarray:
+    """gamma^ell entry by entry: ell!/sqrt(mu! nu!) tr(rho (a*)^nu a^mu)."""
+    small = SymmetricSpace(space.n_modes, ell)
+    basis = small.basis
+    gamma = np.zeros((small.dim, small.dim), dtype=complex)
+    mono = {mu: monomial_annihilation(space.n_modes, space.n_bosons, mu) for mu in basis}
+    fac = {mu: prod(factorial(n) for n in mu) for mu in basis}
+    for i, mu in enumerate(basis):
+        for jdx, nu in enumerate(basis):
+            op = mono[nu].conj().T @ mono[mu]  # (a*)^nu a^mu on H(N, M)
+            gamma[i, jdx] = factorial(ell) / sqrt(fac[mu] * fac[nu]) * np.trace(rho @ op)
+    return gamma
+
+
+def majorization_svd_loop(n_modes, m_bosons, k, samples, seed=0, eps=1e-9):
+    """The coherent-majorization test one state at a time: the dense cloning
+    output of the condensate against the SVD of each sample's Kraus images."""
+    space = SymmetricSpace(n_modes, m_bosons)
+    rng = np.random.default_rng(seed)
+    e0 = np.zeros(n_modes)
+    e0[0] = 1.0
+    coh = coherent_condensate(space, e0)
+    coh_prefix = np.cumsum(cloning_channel(space, np.outer(coh, coh.conj()), k).spectrum)
+    s = cloning_normalization(n_modes, m_bosons, k)
+    kraus = np.stack(cloning_kraus(n_modes, m_bosons, k))
+    violations = 0
+    worst = 0.0
+    for _ in range(samples):
+        psi = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
+        psi /= np.linalg.norm(psi)
+        spec = np.sort(np.linalg.svd(kraus @ psi, compute_uv=False) ** 2)[::-1] / s
+        spec = np.pad(spec, (0, len(coh_prefix) - len(spec)))
+        gap = float(np.max(np.cumsum(spec) - coh_prefix))
+        worst = max(worst, gap)
+        violations += gap > eps
+    return violations, worst
+
+
+# N <= 4, M <= 4, k <= 4 with the edges N = 1, M = 0 and k = 0
+SHAPES = [(n, m, k) for n in range(1, 5) for m in range(5) for k in range(5)]
 
 
 def creation_operator(n_modes: int, n_bosons: int, mode: int) -> np.ndarray:
@@ -258,7 +342,7 @@ def test_majorization_report_no_violations():
 
 def test_cloning_resource_guard():
     # output space H(6, 14) has dimension C(19,5) = 11628 > 10000; the guard
-    # fires before any Kraus operator is built
+    # fires before any gather table is built
     space = SymmetricSpace(6, 6)
     rho = np.eye(space.dim) / space.dim
     with pytest.raises(ResourceGuardError):
@@ -271,3 +355,119 @@ def test_symmetric_power_unitary_is_unitary():
     u = random_special_unitary(3, rng)
     U = symmetric_power_unitary(space, u)
     assert np.max(np.abs(U @ U.conj().T - np.eye(space.dim))) < 1e-11
+
+
+def test_occupation_rank_inverts_the_basis():
+    for n_modes, n_bosons in [(1, 0), (1, 3), (2, 0), (2, 5), (3, 4), (4, 4), (5, 3)]:
+        basis = np.array(SymmetricSpace(n_modes, n_bosons).basis).reshape(-1, n_modes)
+        assert fock._occupation_rank(basis, n_bosons).tolist() == list(range(len(basis)))
+
+
+def test_gather_table_is_cached_and_read_only():
+    src, w = fock._cloning_gather(3, 1, 2)
+    assert fock._cloning_gather(3, 1, 2)[0] is src
+    # one row per Kraus operator (occupation of the 2 new bosons), one column per output state
+    assert src.shape == w.shape == (SymmetricSpace(3, 2).dim, SymmetricSpace(3, 3).dim)
+    with pytest.raises(ValueError):
+        w[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        fock._annihilation_gather(3, 2, 1)[1][0, 0] = 1.0
+
+
+def test_gather_cloning_matches_dense_kraus_sum():
+    rng = np.random.default_rng(6)
+    for n_modes, m, k in SHAPES:
+        space = SymmetricSpace(n_modes, m)
+        # the linear extension: a general complex matrix, not a state
+        mat = rng.standard_normal((space.dim, space.dim)) + 1j * rng.standard_normal((space.dim, space.dim))
+        gap = np.max(np.abs(apply_cloning(space, mat, k) - apply_cloning_dense(space, mat, k)))
+        assert gap < 1e-13, (n_modes, m, k)
+
+
+def test_coherent_spectrum_closed_form_matches_dense_channel():
+    for n_modes, m, k in SHAPES:
+        space = SymmetricSpace(n_modes, m)
+        e0 = np.zeros(n_modes)
+        e0[0] = 1.0
+        coh = coherent_condensate(space, e0)
+        dense = cloning_channel(space, np.outer(coh, coh.conj()), k).spectrum
+        closed = coherent_cloning_spectrum(n_modes, m, k)
+        assert closed.shape == dense.shape
+        assert np.max(np.abs(closed - dense)) < 1e-13, (n_modes, m, k)
+        # by covariance every condensate has the same spectrum
+        omega = np.exp(1j * np.arange(n_modes)) * np.arange(1, n_modes + 1)
+        other = coherent_condensate(space, omega)
+        gap = np.max(np.abs(cloning_channel(space, np.outer(other, other.conj()), k).spectrum - closed))
+        assert gap < 1e-12, (n_modes, m, k)
+
+
+def test_batched_majorization_matches_svd_loop(monkeypatch):
+    rng = np.random.default_rng(7)
+    for n_modes, m, k in SHAPES:
+        src, w = fock._cloning_gather(n_modes, m, k)
+        # chunks of 3 states, so 6 samples cross a chunk boundary
+        monkeypatch.setattr(fock, "_MAJORIZE_CHUNK_BYTES", 3 * 16 * src.size)
+        seed = 100 * n_modes + 10 * m + k
+        rep = sun_coherent_majorization_test(n_modes, m, k, samples=6, seed=seed)
+        violations, worst = majorization_svd_loop(n_modes, m, k, samples=6, seed=seed)
+        assert rep.violations == violations, (n_modes, m, k)
+        assert abs(rep.worst_violation - worst) < 1e-12, (n_modes, m, k)
+        # the stacked Gram spectra against each state's SVD
+        space = SymmetricSpace(n_modes, m)
+        psi = np.array([random_state(space, rng) for _ in range(5)])
+        kraus = np.stack(cloning_kraus(n_modes, m, k))
+        s = cloning_normalization(n_modes, m, k)
+        svd = np.array([np.linalg.svd(kraus @ p, compute_uv=False) ** 2 / s for p in psi])
+        assert np.max(np.abs(fock._cloning_spectra(psi, src, w) - svd)) < 1e-13, (n_modes, m, k)
+
+
+def test_batched_majorization_at_the_default_chunk_size(monkeypatch):
+    n_modes, m, k = 4, 4, 4  # the largest benchmark shape, so the smallest chunk
+    src, _ = fock._cloning_gather(n_modes, m, k)
+    chunk = fock._MAJORIZE_CHUNK_BYTES // (16 * src.size)
+    assert 1 < chunk < 100
+    drawn = []
+    spectra = fock._cloning_spectra
+
+    def recording(psi, src, w):
+        drawn.append(psi)
+        return spectra(psi, src, w)
+
+    monkeypatch.setattr(fock, "_cloning_spectra", recording)
+    rep = sun_coherent_majorization_test(n_modes, m, k, samples=chunk + 3, seed=9)
+    violations, worst = majorization_svd_loop(n_modes, m, k, samples=chunk + 3, seed=9)
+    assert (rep.samples, rep.violations) == (chunk + 3, violations)
+    assert abs(rep.worst_violation - worst) < 1e-12
+    # two chunks holding the states one draw at a time gives, in the same order
+    assert [len(psi) for psi in drawn] == [chunk, 3]
+    rng = np.random.default_rng(9)
+    dim = SymmetricSpace(n_modes, m).dim
+    one_by_one = [rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in range(chunk + 3)]
+    expected = np.array([v / np.linalg.norm(v) for v in one_by_one])
+    assert np.max(np.abs(np.concatenate(drawn) - expected)) < 1e-15
+
+
+def test_reduced_density_matches_entrywise_loop():
+    rng = np.random.default_rng(8)
+    for n_modes, m, ell in SHAPES:
+        if ell > m:
+            continue
+        space = SymmetricSpace(n_modes, m)
+        mat = rng.standard_normal((space.dim, space.dim)) + 1j * rng.standard_normal((space.dim, space.dim))
+        gap = np.max(np.abs(reduced_density(space, mat, ell) - reduced_density_loop(space, mat, ell)))
+        assert gap < 1e-12, (n_modes, m, ell)
+
+
+def test_reduced_density_memory_stays_with_the_gather():
+    # dim H(6, 9) = 2002 and 56 strings of 3 annihilations: a dense stack of
+    # them would hold 56 x 462 x 2002 floats (414 MB)
+    space = SymmetricSpace(6, 9)
+    rho = np.eye(space.dim) / space.dim
+    fock._annihilation_gather(6, 9, 3)
+    tracemalloc.start()
+    gamma = reduced_density(space, rho, 3)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+    assert np.trace(gamma).real == pytest.approx(math.factorial(9) / math.factorial(6), rel=1e-12)
+    assert np.max(np.abs(gamma - gamma.conj().T)) < 1e-12

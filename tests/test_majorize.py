@@ -106,6 +106,22 @@ def test_search_gradient_matches_central_differences(twice_l, objective):
         assert np.max(np.abs(grad - numeric)) < 1e-8
 
 
+@pytest.mark.parametrize("objective", ["angular", ("projection", SpinLabel(4))], ids=str)
+def test_gram_search_rejects_non_psd_spectrum(objective, monkeypatch):
+    # the one clamp rule: a Gram eigenvalue below -1e-12 raises instead of
+    # being clamped away
+    search = objective_fn(SpinLabel(2), objective)
+    eigh = np.linalg.eigh
+
+    def shifted(matrix):
+        lam, U = eigh(matrix)
+        return np.concatenate([[-1e-9], lam[1:]]), U
+
+    monkeypatch.setattr(np.linalg, "eigh", shifted)
+    with pytest.raises(ValueError, match="clamp window"):
+        search(np.arange(6.0))
+
+
 @pytest.mark.parametrize("objective", OBJECTIVES, ids=str)
 @pytest.mark.parametrize("twice_l", [1, 2, 3, 4])
 def test_search_value_matches_library_route(twice_l, objective):
