@@ -20,7 +20,8 @@ Exit codes, each failure with a one-line message on stderr:
 * 2 conjecture-scan counterexample;
 * 3 a guard or numerical limit was hit: a resource guard (figure-projection
   twice_l <= 8 and j <= 100, the optimizer's twice_l <= 16 and projection
-  j <= 100, tensor and output dimensions), a Wehrl quadrature that did not
+  j <= 100, tensor dimensions, and the output dimension dim H(N, M+k) <=
+  10000 that every ``sun`` mode holds), a Wehrl quadrature that did not
   converge within its grid limit, or a measure-and-prepare decomposition
   above its residual threshold.
 
@@ -257,7 +258,7 @@ def _spin_tag(j: SpinLabel) -> str:
     return str(j.twice_l // 2) if j.twice_l % 2 == 0 else f"{j.twice_l}over2"
 
 
-def _parse_objective(text: str, for_scan: bool = True):
+def _parse_objective(text: str):
     if text == "wehrl" or text == "angular":
         return text
     if text.startswith("projection:"):
@@ -319,17 +320,13 @@ def cmd_scan_conjecture(args) -> int:
 
 def cmd_sun(args) -> int:
     t0 = time.perf_counter()
-    space = fock.SymmetricSpace(args.modes, args.bosons)
-    e0 = np.zeros(args.modes)
-    e0[0] = 1.0
     results: dict = {"N": args.modes, "M": args.bosons, "k": args.copies, "mode": args.mode}
     code = 0
     if args.mode == "clone":
-        coh = fock.coherent_condensate(space, e0)
-        out = fock.cloning_channel(space, np.outer(coh, coh.conj()), args.copies)
-        results["spectrum"] = [float(x) for x in out.spectrum]
+        results["spectrum"] = fock.coherent_cloning_spectrum(args.modes, args.bosons, args.copies).tolist()
     elif args.mode == "prepare":
-        coh = fock.coherent_condensate(space, e0)
+        space = fock.SymmetricSpace(args.modes, args.bosons)
+        coh = fock.coherent_condensate(space, np.eye(args.modes)[0])
         T = fock.measure_prepare_channel(space, coh, args.copies)
         results["spectrum"] = [float(x) for x in entropy.clamped_spectrum(T)]
     elif args.mode == "decompose":

@@ -6,11 +6,12 @@ symmetrizes rho (x) 1 over k extra copies. Its Kraus operator
 sqrt(k!/mu!) (a*)^mu sends occupation n to n + mu, so each of its rows has at
 most one nonzero entry: one cached gather table per (N, M, k) holds them all,
 read straight from the occupation basis. Read the other way, the same table
-gives the annihilation strings behind the reduced density maps. The coherent
-condensate's cloning spectrum is closed-form, and the majorization test runs
-one stacked Gram eigensolve per chunk of sampled states. The
-measure-and-prepare channel is the dual Gram picture. The dense Kraus sum, the
-per-sample SVD and the per-entry reduced-density trace are the test oracles.
+gives the annihilation strings behind the reduced density maps. On pure
+states, or stacks of them, the majorization spectra, the measure-and-prepare
+channel and the decomposition's reduced densities are each one Gram matrix of
+images gathered from these tables. The coherent condensate's cloning spectrum
+is closed-form. The dense Kraus sum and symmetric isometry, the per-sample
+SVD and the per-entry reduced-density trace are the test oracles.
 """
 
 from __future__ import annotations
@@ -21,13 +22,12 @@ from math import comb, factorial, prod, sqrt
 
 import numpy as np
 
-from .entropy import clamp_eigenvalues, clamped_spectrum
+from .entropy import clamped_spectrum
 from .errors import DecompositionError, ResourceGuardError
 
 CLONING_DIM_GUARD = 10_000
-#: Largest stack of gathered Kraus images, in bytes, that one chunk of
-#: `sun_coherent_majorization_test` builds.
-_MAJORIZE_CHUNK_BYTES = 4 * 2 ** 20
+#: Largest stack of gathered images, in bytes, per chunk of `_state_chunks`.
+_CHUNK_BYTES = 4 * 2 ** 20
 
 
 @lru_cache(maxsize=None)
@@ -143,11 +143,12 @@ def cloning_normalization(n_modes: int, n_bosons: int, k: int) -> float:
 
 def apply_cloning(space: SymmetricSpace, mat: np.ndarray, k: int) -> np.ndarray:
     """Trace-preserving linear extension of the cloning channel to arbitrary
-    (not necessarily normalized) matrices on H(N, M):
-    sum_mu (w_mu w_mu^T) * mat[src_mu][:, src_mu] over the gather table."""
+    (not necessarily normalized) matrices on H(N, M), or stacks of them along
+    the leading axes: sum_mu (w_mu w_mu^T) * mat[..., src_mu, src_mu] over the
+    gather table."""
     src, w = _cloning_gather(space.n_modes, space.n_bosons, k)
     mat = np.asarray(mat)
-    return sum(np.outer(w_mu, w_mu) * mat[np.ix_(src_mu, src_mu)] for src_mu, w_mu in zip(src, w))
+    return sum(np.outer(w_mu, w_mu) * mat[..., src_mu[:, None], src_mu] for src_mu, w_mu in zip(src, w))
 
 
 def coherent_cloning_spectrum(n_modes: int, n_bosons: int, k: int) -> np.ndarray:
@@ -203,39 +204,34 @@ def reduced_density(space: SymmetricSpace, rho: np.ndarray, ell: int) -> np.ndar
     return np.einsum("ix,jx,ijx->ij", c, c, np.asarray(rho)[up[:, None], up[None]])
 
 
-@lru_cache(maxsize=None)
-def symmetric_embedding_isometry(n_modes: int, m_bosons: int, k_bosons: int) -> np.ndarray:
-    """Isometry H(N, M+k) -> H(N, M) (x) H(N, k); the adjoint implements the
-    symmetric projector restricted to its image.
-
-    Coefficient of |mu> (x) |nu> in |n> is sqrt(prod_i C(n_i, mu_i) / C(M+k, k)).
-    """
-    big = SymmetricSpace(n_modes, m_bosons + k_bosons)
-    left = SymmetricSpace(n_modes, m_bosons)
-    right = SymmetricSpace(n_modes, k_bosons)
-    W = np.zeros((left.dim * right.dim, big.dim))
-    scale = 1.0 / sqrt(comb(m_bosons + k_bosons, k_bosons))
-    for col, occ in enumerate(big.basis):
-        for a, mu in enumerate(left.basis):
-            nu = tuple(n - m for n, m in zip(occ, mu))
-            if min(nu) < 0:
-                continue
-            coeff = prod(comb(n, m) for n, m in zip(occ, mu))
-            W[a * right.dim + right.index(nu), col] = sqrt(coeff) * scale
-    return W
+def _image_gram(psi: np.ndarray, src: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """B B^dag for the images B = psi[..., src] w of a state or stack (..., dim):
+    from the cloning table it shares its nonzero spectrum with the output on
+    psi psi^dag, from the annihilation table it is the reduced density."""
+    B = psi[..., src] * w
+    return B @ np.swapaxes(B.conj(), -1, -2)
 
 
 def measure_prepare_channel(space: SymmetricSpace, psi: np.ndarray, k: int) -> np.ndarray:
-    """Dual Gram channel <psi (x) id| P_sym |psi (x) id> on H(N, k),
-    normalized to unit trace."""
-    psi = np.asarray(psi, dtype=complex)
-    W = symmetric_embedding_isometry(space.n_modes, space.n_bosons, k)
-    right = SymmetricSpace(space.n_modes, k)
-    W3 = W.reshape(space.dim, right.dim, -1)
-    X = np.einsum("m,man->an", psi, W3.conj())
-    T = X.conj() @ X.T
-    T = (T + T.conj().T) / 2
-    return T / np.trace(T).real
+    """Dual Gram channel <psi (x) id| P_sym |psi (x) id> on H(N, k), normalized
+    to unit trace, for a state or a stack (..., dim): the symmetric isometry's
+    coefficients are the cloning weights up to a constant, so it is the
+    conjugate Gram of the cloning Kraus images over its trace."""
+    src, w = _cloning_gather(space.n_modes, space.n_bosons, k)
+    T = _image_gram(np.asarray(psi, dtype=complex), src, w).conj()
+    return T / np.trace(T, axis1=-2, axis2=-1).real[..., None, None]
+
+
+def _state_chunks(dim: int, samples: int, seed: int, image_size: int):
+    """Normalized Haar-random states on C^dim, drawn in order (real then
+    imaginary part of each), in stacks of at least one whose gathered images
+    of image_size entries per state stay within _CHUNK_BYTES."""
+    chunk = max(1, _CHUNK_BYTES // (np.dtype(complex).itemsize * image_size))
+    rng = np.random.default_rng(seed)
+    for start in range(0, samples, chunk):
+        x = rng.standard_normal((min(chunk, samples - start), 2, dim))
+        psi = x[:, 0] + 1j * x[:, 1]
+        yield psi / np.linalg.norm(psi, axis=1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -251,23 +247,18 @@ def decompose_measure_prepare(n_modes: int, m_bosons: int, k: int,
     reported as 0. Raises DecompositionError when the joint fit residual
     exceeds 1e-9."""
     space = SymmetricSpace(n_modes, m_bosons)
-    rng = np.random.default_rng(seed)
+    src = _cloning_gather(n_modes, m_bosons, k)[0]
     valid = [ell for ell in range(k + 1) if k - ell <= m_bosons]
     rows = []
     targets = []
-    small_dim = SymmetricSpace(n_modes, k).dim
-    for _ in range(max(batch, 1)):
-        psi = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
-        psi /= np.linalg.norm(psi)
-        proj = np.outer(psi, psi.conj())
-        feats = []
-        for ell in valid:
-            gamma = reduced_density(space, proj, k - ell)
-            feats.append(apply_cloning(SymmetricSpace(n_modes, k - ell), gamma, ell).ravel())
-        target = measure_prepare_channel(space, psi, k).ravel()
-        rows.append(np.column_stack(feats))
-        targets.append(target)
-    A = np.vstack(rows)
+    for psi in _state_chunks(space.dim, max(batch, 1), seed, src.size):
+        # gamma^(k-l)(psi psi^dag) straight from the amplitudes, then Phi^l
+        feats = [apply_cloning(SymmetricSpace(n_modes, k - ell),
+                               _image_gram(psi, *_annihilation_gather(n_modes, m_bosons, k - ell)), ell)
+                 for ell in valid]
+        rows.append(np.stack(feats, axis=-1).reshape(-1, len(valid)))
+        targets.append(measure_prepare_channel(space, psi, k).ravel())
+    A = np.concatenate(rows)
     b = np.concatenate(targets)
     # real least squares over stacked real/imag parts
     A2 = np.vstack([A.real, A.imag])
@@ -290,15 +281,6 @@ class MajorizationReport:
     coherent_spectrum: np.ndarray
 
 
-def _cloning_spectra(psi: np.ndarray, src: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Descending nonzero cloning spectra, n_kraus values each, of the
-    normalized rows of psi. With B = psi[src] w, the rows of B are the images
-    K_mu psi, and the output sum_mu |K_mu psi><K_mu psi| shares its nonzero
-    eigenvalues with the n_kraus x n_kraus Gram matrix B B^dag."""
-    B = psi[:, src] * w
-    return clamp_eigenvalues(np.linalg.eigvalsh(B @ B.conj().transpose(0, 2, 1)))
-
-
 def sun_coherent_majorization_test(n_modes: int, m_bosons: int, k: int,
                                    samples: int, seed: int = 0,
                                    eps: float = 1e-9) -> MajorizationReport:
@@ -306,23 +288,15 @@ def sun_coherent_majorization_test(n_modes: int, m_bosons: int, k: int,
     against the coherent (condensate) benchmark; a state violates when one of
     its prefix sums exceeds the coherent one by more than eps.
 
-    The states are drawn in order, real then imaginary part of each, and
-    processed in chunks whose gathered Kraus images stay within
-    _MAJORIZE_CHUNK_BYTES, with at least one state per chunk."""
+    Each chunk of `_state_chunks` takes one stacked Gram eigensolve."""
     src, w = _cloning_gather(n_modes, m_bosons, k)
     coh_spec = coherent_cloning_spectrum(n_modes, m_bosons, k)
     # both spectra vanish past n_kraus values, so the prefix sums stop there
     coh_prefix = np.cumsum(coh_spec[:len(src)])
-    dim = SymmetricSpace(n_modes, m_bosons).dim
-    chunk = max(1, _MAJORIZE_CHUNK_BYTES // (np.dtype(complex).itemsize * src.size))
-    rng = np.random.default_rng(seed)
     violations = 0
     worst = 0.0
-    for start in range(0, samples, chunk):
-        x = rng.standard_normal((min(chunk, samples - start), 2, dim))
-        psi = x[:, 0] + 1j * x[:, 1]
-        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-        gaps = np.max(np.cumsum(_cloning_spectra(psi, src, w), axis=1) - coh_prefix, axis=1)
+    for psi in _state_chunks(SymmetricSpace(n_modes, m_bosons).dim, samples, seed, src.size):
+        gaps = np.max(np.cumsum(clamped_spectrum(_image_gram(psi, src, w)), axis=1) - coh_prefix, axis=1)
         violations += int(np.count_nonzero(gaps > eps))
         worst = max(worst, float(gaps.max()))
     return MajorizationReport(samples, violations, worst, coh_spec)

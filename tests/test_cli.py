@@ -144,6 +144,20 @@ def test_sun_clone_command(capsys):
     assert np.allclose(out["results"]["spectrum"], [2 / 3, 1 / 3, 0.0], atol=1e-10)
 
 
+def _not_reached(*args, **kwargs):
+    raise AssertionError("the dense cloning output was built")
+
+
+def test_sun_clone_command_prints_the_closed_form(capsys, monkeypatch):
+    # dim H(5, 12) = 1820 with 210 Kraus operators: the dense route took 14 s
+    monkeypatch.setattr(fock, "apply_cloning", _not_reached)
+    code = main(["sun", "--modes", "5", "--bosons", "6", "--copies", "6", "--mode", "clone"])
+    assert code == 0
+    spectrum = json.loads(capsys.readouterr().out)["results"]["spectrum"]
+    assert len(spectrum) == 1820
+    assert sum(spectrum) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_sun_majorize_command(capsys):
     code = main(["sun", "--modes", "2", "--bosons", "2", "--copies", "1",
                  "--mode", "majorize", "--samples", "30", "--seed", "1"])
@@ -213,6 +227,11 @@ def _not_before_guard(*args, **kwargs):
     (["sun", "--modes", "6", "--bosons", "6", "--copies", "8", "--mode", "majorize"], 3,
      [(fock, "_occupation_rank", _not_before_guard),
       (fock, "coherent_cloning_spectrum", _not_before_guard)]),
+    # prepare and decompose hold the same output guard, also before any table
+    (["sun", "--modes", "6", "--bosons", "6", "--copies", "8", "--mode", "prepare"], 3,
+     [(fock, "_occupation_rank", _not_before_guard)]),
+    (["sun", "--modes", "6", "--bosons", "6", "--copies", "8", "--mode", "decompose"], 3,
+     [(fock, "_occupation_rank", _not_before_guard)]),
 ])
 def test_error_exit_codes(argv, code, patch, monkeypatch, capsys):
     for target in patch or ():

@@ -20,8 +20,8 @@ from spinwehrl.fock import (
     measure_prepare_channel,
     reduced_density,
     sun_coherent_majorization_test,
-    symmetric_embedding_isometry,
 )
+from spinwehrl.entropy import clamped_spectrum
 from spinwehrl.su2 import SpinLabel, random_pure
 
 
@@ -139,6 +139,65 @@ def measure_prepare_second_quantized(space: SymmetricSpace, psi: np.ndarray, k: 
             T[i, jdx] = factorial(k) / sqrt(fac[mu] * fac[nu]) * val
     T = (T + T.conj().T) / 2
     return T / np.trace(T).real
+
+
+@lru_cache(maxsize=None)
+def symmetric_embedding_isometry(n_modes: int, m_bosons: int, k_bosons: int) -> np.ndarray:
+    """Isometry H(N, M+k) -> H(N, M) (x) H(N, k); the adjoint implements the
+    symmetric projector restricted to its image.
+
+    Coefficient of |mu> (x) |nu> in |n> is sqrt(prod_i C(n_i, mu_i) / C(M+k, k)).
+    """
+    big = SymmetricSpace(n_modes, m_bosons + k_bosons)
+    left = SymmetricSpace(n_modes, m_bosons)
+    right = SymmetricSpace(n_modes, k_bosons)
+    W = np.zeros((left.dim * right.dim, big.dim))
+    scale = 1.0 / sqrt(math.comb(m_bosons + k_bosons, k_bosons))
+    for col, occ in enumerate(big.basis):
+        for a, mu in enumerate(left.basis):
+            nu = tuple(n - m for n, m in zip(occ, mu))
+            if min(nu) < 0:
+                continue
+            coeff = prod(math.comb(n, m) for n, m in zip(occ, mu))
+            W[a * right.dim + right.index(nu), col] = sqrt(coeff) * scale
+    return W
+
+
+def measure_prepare_dense(space: SymmetricSpace, psi: np.ndarray, k: int) -> np.ndarray:
+    """<psi (x) id| P_sym |psi (x) id> on H(N, k), unit trace, through the
+    dense symmetric isometry."""
+    psi = np.asarray(psi, dtype=complex)
+    W = symmetric_embedding_isometry(space.n_modes, space.n_bosons, k)
+    W3 = W.reshape(space.dim, SymmetricSpace(space.n_modes, k).dim, -1)
+    X = np.einsum("m,man->an", psi, W3.conj())
+    T = X.conj() @ X.T
+    T = (T + T.conj().T) / 2
+    return T / np.trace(T).real
+
+
+def decomposition_loop(n_modes: int, m_bosons: int, k: int, batch: int = 20, seed: int = 0) -> np.ndarray:
+    """Coefficients of the measure-and-prepare decomposition one state and one
+    ell at a time, from psi psi^dag, the general reduced density, the dense
+    isometry, and the same draws and least-squares fit as the library."""
+    space = SymmetricSpace(n_modes, m_bosons)
+    rng = np.random.default_rng(seed)
+    valid = [ell for ell in range(k + 1) if k - ell <= m_bosons]
+    rows = []
+    targets = []
+    for _ in range(batch):
+        psi = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
+        psi /= np.linalg.norm(psi)
+        proj = np.outer(psi, psi.conj())
+        feats = [apply_cloning(SymmetricSpace(n_modes, k - ell), reduced_density(space, proj, k - ell), ell).ravel()
+                 for ell in valid]
+        rows.append(np.column_stack(feats))
+        targets.append(measure_prepare_dense(space, psi, k).ravel())
+    A = np.vstack(rows)
+    b = np.concatenate(targets)
+    coefs = np.linalg.lstsq(np.vstack([A.real, A.imag]), np.concatenate([b.real, b.imag]), rcond=None)[0]
+    full = np.zeros(k + 1)
+    full[valid] = coefs
+    return full
 
 
 def random_special_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -293,13 +352,17 @@ def test_symmetric_embedding_isometry_is_isometry():
 
 def test_measure_prepare_routes_agree():
     rng = np.random.default_rng(4)
-    for n_modes, m, k in [(2, 1, 1), (2, 2, 1), (3, 2, 2)]:
+    for n_modes, m, k in SHAPES:
         space = SymmetricSpace(n_modes, m)
-        for _ in range(3):
-            psi = random_state(space, rng)
-            a = measure_prepare_channel(space, psi, k)
-            b = measure_prepare_second_quantized(space, psi, k)
-            assert np.max(np.abs(a - b)) < 1e-11
+        psi = np.array([random_state(space, rng) for _ in range(3)])
+        stacked = measure_prepare_channel(space, psi, k)
+        assert stacked.shape == (3,) + (SymmetricSpace(n_modes, k).dim,) * 2
+        for p, t in zip(psi, stacked):
+            a = measure_prepare_channel(space, p, k)
+            for oracle in (measure_prepare_second_quantized, measure_prepare_dense):
+                b = oracle(space, p, k)
+                assert np.max(np.abs(a - b)) < 1e-12, (n_modes, m, k)
+                assert np.max(np.abs(t - b)) < 1e-12, (n_modes, m, k)
             assert np.trace(a) == pytest.approx(1.0, abs=1e-11)
 
 
@@ -406,7 +469,7 @@ def test_batched_majorization_matches_svd_loop(monkeypatch):
     for n_modes, m, k in SHAPES:
         src, w = fock._cloning_gather(n_modes, m, k)
         # chunks of 3 states, so 6 samples cross a chunk boundary
-        monkeypatch.setattr(fock, "_MAJORIZE_CHUNK_BYTES", 3 * 16 * src.size)
+        monkeypatch.setattr(fock, "_CHUNK_BYTES", 3 * 16 * src.size)
         seed = 100 * n_modes + 10 * m + k
         rep = sun_coherent_majorization_test(n_modes, m, k, samples=6, seed=seed)
         violations, worst = majorization_svd_loop(n_modes, m, k, samples=6, seed=seed)
@@ -418,22 +481,22 @@ def test_batched_majorization_matches_svd_loop(monkeypatch):
         kraus = np.stack(cloning_kraus(n_modes, m, k))
         s = cloning_normalization(n_modes, m, k)
         svd = np.array([np.linalg.svd(kraus @ p, compute_uv=False) ** 2 / s for p in psi])
-        assert np.max(np.abs(fock._cloning_spectra(psi, src, w) - svd)) < 1e-13, (n_modes, m, k)
+        assert np.max(np.abs(clamped_spectrum(fock._image_gram(psi, src, w)) - svd)) < 1e-13, (n_modes, m, k)
 
 
 def test_batched_majorization_at_the_default_chunk_size(monkeypatch):
     n_modes, m, k = 4, 4, 4  # the largest benchmark shape, so the smallest chunk
     src, _ = fock._cloning_gather(n_modes, m, k)
-    chunk = fock._MAJORIZE_CHUNK_BYTES // (16 * src.size)
+    chunk = fock._CHUNK_BYTES // (16 * src.size)
     assert 1 < chunk < 100
     drawn = []
-    spectra = fock._cloning_spectra
+    gram = fock._image_gram
 
     def recording(psi, src, w):
         drawn.append(psi)
-        return spectra(psi, src, w)
+        return gram(psi, src, w)
 
-    monkeypatch.setattr(fock, "_cloning_spectra", recording)
+    monkeypatch.setattr(fock, "_image_gram", recording)
     rep = sun_coherent_majorization_test(n_modes, m, k, samples=chunk + 3, seed=9)
     violations, worst = majorization_svd_loop(n_modes, m, k, samples=chunk + 3, seed=9)
     assert (rep.samples, rep.violations) == (chunk + 3, violations)
@@ -456,6 +519,11 @@ def test_reduced_density_matches_entrywise_loop():
         mat = rng.standard_normal((space.dim, space.dim)) + 1j * rng.standard_normal((space.dim, space.dim))
         gap = np.max(np.abs(reduced_density(space, mat, ell) - reduced_density_loop(space, mat, ell)))
         assert gap < 1e-12, (n_modes, m, ell)
+        # on a pure state: the Gram matrix of its annihilation strings
+        psi = random_state(space, rng)
+        pure = fock._image_gram(psi, *fock._annihilation_gather(n_modes, m, ell))
+        gap = np.max(np.abs(pure - reduced_density(space, np.outer(psi, psi.conj()), ell)))
+        assert gap < 1e-12, (n_modes, m, ell)
 
 
 def test_reduced_density_memory_stays_with_the_gather():
@@ -471,3 +539,32 @@ def test_reduced_density_memory_stays_with_the_gather():
     assert peak < 32 * 2 ** 20
     assert np.trace(gamma).real == pytest.approx(math.factorial(9) / math.factorial(6), rel=1e-12)
     assert np.max(np.abs(gamma - gamma.conj().T)) < 1e-12
+
+
+def test_decomposition_memory_stays_with_the_gather():
+    # dim H(6, 9) = 2002: a stack of the 20 states' psi psi^dag would hold
+    # 20 x 2002^2 complex entries (1.28 GB), the dense isometry 5.5 GB
+    decompose_measure_prepare(6, 9, 3)
+    tracemalloc.start()
+    res = decompose_measure_prepare(6, 9, 3, seed=1)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+    assert res.residual < 1e-9
+
+
+# the decompose shapes of the sun-majorize benchmark, and (4, 4, 4)
+DECOMPOSE_SHAPES = [(n, m, k) for n in (2, 3) for m in (1, 2) for k in (1, 2)] + [(4, 4, 4)]
+
+
+def test_stacked_decomposition_matches_per_state_loop(monkeypatch):
+    default = fock._CHUNK_BYTES
+    for n_modes, m, k in DECOMPOSE_SHAPES:
+        src, _ = fock._cloning_gather(n_modes, m, k)
+        # one chunk at the default size; chunks of 3 states cross boundaries
+        for seed, chunk_bytes in ((0, default), (5, 3 * 16 * src.size)):
+            monkeypatch.setattr(fock, "_CHUNK_BYTES", chunk_bytes)
+            res = decompose_measure_prepare(n_modes, m, k, seed=seed)
+            gap = np.max(np.abs(res.coefficients - decomposition_loop(n_modes, m, k, seed=seed)))
+            assert gap < 1e-12, (n_modes, m, k, seed)
+            assert res.residual <= 1e-9
