@@ -20,10 +20,11 @@ Exit codes, each failure with a one-line message on stderr:
 * 2 conjecture-scan counterexample;
 * 3 a guard or numerical limit was hit: a resource guard (figure-projection
   twice_l <= 8 and j <= 100, the optimizer's twice_l <= 16 and projection
-  j <= 100, tensor dimensions, and the output dimension dim H(N, M+k) <=
-  10000 that every ``sun`` mode holds), a Wehrl quadrature that did not
-  converge within its grid limit, or a measure-and-prepare decomposition
-  above its residual threshold.
+  j <= 100, tensor dimensions, the output dimension dim H(N, M+k) <=
+  10000 that every ``sun`` mode holds, and the byte guard of a Renyi
+  quadrature level), a Wehrl quadrature that did not converge within its
+  grid limit, or a measure-and-prepare decomposition above its residual
+  threshold.
 
 State files are either JSON ``{"twice_l": int, "amplitudes": [[re, im], ...]}``
 (m descending) or CSV ``l,m,re,im`` with header, single fixed l. Numbers are
@@ -50,6 +51,9 @@ from .quadrature import QuadratureSpec
 from .su2 import PureState, SpinLabel, random_pure
 
 DEFAULT_TOL_ENV = "SPINWEHRL_TOL"
+#: States drawn and evaluated at a time by scan-conjecture, which bounds its
+#: memory at any --samples.
+_SAMPLE_CHUNK = 256
 
 
 class CliError(Exception):
@@ -193,8 +197,7 @@ def cmd_entropy(args) -> int:
         results["value"] = entropy.von_neumann(psi.density())
     elif which == "angular":
         _require_angular_spin(l)
-        g = channels.angular_gram(psi)
-        results["value"] = entropy.entropy_of_spectrum(entropy.clamped_spectrum(g))
+        results["value"] = _angular_entropy(psi)
     elif which.startswith("projection:"):
         j = parse_half_integer(which.split(":", 1)[1])
         value = channels.projection_entropy_pure(psi, j)
@@ -271,6 +274,22 @@ def _require_angular_spin(l: SpinLabel):
         raise CliError("the angular channel needs l >= 1/2")
 
 
+def _angular_entropy(psi: PureState) -> float:
+    """Entropy of the angular channel's output, from its 3x3 Gram spectrum."""
+    return entropy.entropy_of_spectrum(entropy.clamped_spectrum(channels.angular_gram(psi)))
+
+
+def _sample_values(l: SpinLabel, objective, amp: np.ndarray) -> np.ndarray:
+    """Objective values of the pure states in the rows of `amp`, from the
+    library's value routes: the exact Wehrl batch, the banded projection
+    batch or the angular Gram spectrum."""
+    if objective == "wehrl":
+        return entropy.wehrl_pure_batch(l, amp)
+    if objective == "angular":
+        return np.array([_angular_entropy(PureState(l, a)) for a in amp])
+    return channels.projection_entropy_batch(l, objective[1], amp[:, :, None] * amp[:, None, :].conj())
+
+
 def _coherent_benchmark(l: SpinLabel, objective) -> float:
     if objective == "wehrl":
         return l.twice_l / (l.twice_l + 1)
@@ -294,10 +313,11 @@ def cmd_scan_conjecture(args) -> int:
         _require_angular_spin(l)
     elif isinstance(objective, tuple):
         _require_projection_j("optimizer", objective[1])
-    search = majorize.objective_fn(l, objective)
     rng = np.random.default_rng(args.seed)
-    samples = (random_pure(l, rng).amplitudes for _ in range(args.samples))
-    sample_min = min(search(np.concatenate([a.real, a.imag]))[0] for a in samples)
+    sample_min = np.inf
+    for start in range(0, args.samples, _SAMPLE_CHUNK):
+        amp = np.array([random_pure(l, rng).amplitudes for _ in range(min(_SAMPLE_CHUNK, args.samples - start))])
+        sample_min = min(sample_min, float(np.min(_sample_values(l, objective, amp))))
     opt = majorize.minimize_entropy(l, objective, restarts=args.restarts, seed=args.seed)
     benchmark = _coherent_benchmark(l, objective)
     tol = 1e-6

@@ -11,6 +11,7 @@ which keeps the state single-valued in phi. All rotation-invariant outputs
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import pi
 
 import numpy as np
@@ -32,6 +33,7 @@ __all__ = [
     "StellarRoots",
     "coherent_state",
     "amplitude_grid",
+    "radial_table",
     "husimi",
     "overlap_sq",
     "completeness_defect",
@@ -59,15 +61,32 @@ def coherent_state(l: SpinLabel, direction: SphereDirection) -> PureState:
     return PureState(l, amps, normalize=True)
 
 
-def _amplitudes(l: SpinLabel, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """Coherent amplitudes on a theta x phi product grid, shape (nt, np, d)."""
+def _radial(l: SpinLabel, thetas: np.ndarray) -> np.ndarray:
+    """Moduli r_m = C(2l, l+m)^(1/2) cos^(l+m)(theta/2) sin^(l-m)(theta/2) of
+    the coherent amplitudes, m descending, shape (nt, d)."""
     tl = l.twice_l
     m2 = np.arange(tl, -tl - 1, -2)
     c = np.cos(thetas / 2)[:, None]
     s = np.sin(thetas / 2)[:, None]
-    radial = np.exp(log_binom_sqrt(tl))[None, :] * c ** ((tl + m2) / 2) * s ** ((tl - m2) / 2)
-    phase = np.exp(-1j * np.outer(phis, m2 / 2))
-    return radial[:, None, :] * phase[None, :, :]
+    return np.exp(log_binom_sqrt(tl))[None, :] * c ** ((tl + m2) / 2) * s ** ((tl - m2) / 2)
+
+
+def _amplitudes(l: SpinLabel, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """Coherent amplitudes on a theta x phi product grid, shape (nt, np, d)."""
+    phase = np.exp(-1j * np.outer(phis, np.arange(l.twice_l, -l.twice_l - 1, -2) / 2))
+    return _radial(l, thetas)[:, None, :] * phase[None, :, :]
+
+
+@lru_cache(maxsize=64)
+def radial_table(l: SpinLabel, n_theta: int):
+    """Radial amplitudes r_m(theta_i) on the n_theta Gauss-Legendre rings of
+    the quadrature, shape (n_theta, d), and the rings' weights, summing to 1;
+    cached, read-only. The amplitude at (theta_i, phi) is r_m(theta_i) e^(-i m phi)."""
+    thetas, _, w_theta, _ = sphere_nodes(QuadratureSpec(n_theta, 1))
+    r = _radial(l, thetas)
+    r.flags.writeable = False
+    w_theta.flags.writeable = False
+    return r, w_theta
 
 
 _GRID_CACHE: dict = {}
@@ -78,6 +97,10 @@ def amplitude_grid(l: SpinLabel, spec: QuadratureSpec):
     """Coherent amplitudes on the quadrature grid plus flattened weights.
 
     Returns (V, w) with V of shape (n_theta * n_phi, d) and w summing to 1.
+    Its callers are the exact (2l+1) x (4l+1) grid of the pure-state Wehrl
+    routes (`entropy._exact_wehrl`, behind `wehrl_pure_batch` and
+    `wehrl_pure_gradient`) and `completeness_defect`; the mixed-state
+    quadrature and the Renyi moments read `radial_table` instead.
     Small grids are cached (read-only arrays): repeated entropy evaluations at
     a fixed grid dominate the optimizer cost otherwise.  Grids above 64 MiB
     are rebuilt on demand instead of pinned in memory.
@@ -228,7 +251,7 @@ def closest_coherent(psi: PureState) -> tuple[SphereDirection, float]:
 
     def overlap(x):
         """|<Omega|q0>|^2 at Omega = (x[0], x[1]), its gradient and Hessian."""
-        r = _amplitudes(l, x[:1], np.zeros(1))[0, 0].real
+        r = _radial(l, x[:1])[0]
         q = np.exp(1j * m * x[1]) * q0  # <Omega| has amplitudes r_m e^(i m phi)
         g = np.stack([r, D @ r, D @ D @ r]) @ np.stack([q, 1j * m * q, -m * m * q]).T
         dg = np.array([g[1, 0], g[0, 1]])

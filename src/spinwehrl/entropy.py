@@ -3,11 +3,14 @@
 Pure-state Wehrl entropies and their gradients are exact, from the Husimi zeros.
 The mixed-state Wehrl integral, also the pure route's oracle, is evaluated by
 Gauss-Legendre x uniform-phi quadrature with node doubling until successive
-values agree to the requested tolerance.
+values agree to the requested tolerance. Each level is evaluated ring by ring:
+on a theta-ring the Husimi function is a trigonometric polynomial of degree 2l
+in phi, so its 2l+1 Fourier coefficients and one real inverse FFT give the
+ring's values, with no complex amplitude grid.
 Integer Renyi moments are polynomial integrands, so they are integrated
-exactly at a quadrature order derived from the degree; the same moments are
-also available through projection onto the maximum-spin part of rho^(x)n,
-which serves as an independent cross-check.
+exactly at a quadrature order derived from the degree, on the same rings; the
+same moments are also available through projection onto the maximum-spin part
+of rho^(x)n, which serves as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from math import log
 import numpy as np
 from scipy.special import xlogy
 
-from .coherent import amplitude_grid, husimi_zeros
+from .coherent import amplitude_grid, husimi_zeros, radial_table
 from .errors import ConvergenceError, QuadratureOrderError, ResourceGuardError
 from .quadrature import QuadratureSpec, sphere_points
 from .su2 import (
@@ -37,7 +40,7 @@ from .su2 import (
 CHORDAL_SCALE = 1.0
 
 MAX_N_THETA = 4096
-#: Largest amplitude array, in bytes, one adaptive quadrature level may build.
+#: Largest number of bytes one quadrature level may allocate (`_level_bytes`).
 MAX_GRID_BYTES = 512 * 2 ** 20
 #: Largest max |f - K prod_i (1 - n.z_i)/2| on the exact grid that keeps a
 #: pure state on the root formula; beyond it the state takes the quadrature.
@@ -100,16 +103,52 @@ def povm_entropy(rho: DensityMatrix, effects) -> float:
     return entropy_of_spectrum(np.array(probs))
 
 
-def _husimi_on_grid(rho: DensityMatrix, V: np.ndarray) -> np.ndarray:
-    f = np.vecdot(V @ rho.matrix.conj(), V).real
-    return np.clip(f, 0.0, 1.0)
+def _level_bytes(l: SpinLabel, spec: QuadratureSpec) -> int:
+    """Bytes one `_husimi_rings` level allocates, at most: per ring, the
+    Gauss-Legendre companion row that builds an uncached radial table, the
+    (d, d) radial pairs, the coefficients with their temporaries and the
+    n_phi real Husimi values; once, the (d, d) index and diagonal arrays."""
+    d = l.dim
+    return 8 * (spec.n_theta * (spec.n_theta + d * d + 16 * d + spec.n_phi) + 10 * d * d)
+
+
+def _husimi_rings(rho: DensityMatrix, spec: QuadratureSpec):
+    """Husimi function on the grid `spec`, shape (n_theta, n_phi), clamped into
+    [0, 1], and the rings' weights.
+
+    On the ring theta_t, Q = sum_|k|<=2l c_k e^(i k phi) with c_k = sum_m
+    r_m r_(m-k) rho[m, m-k] for the radial table r (m descending), so one real
+    inverse FFT gives every ring. Harmonics past n_phi / 2 are folded modulo
+    n_phi, which is all the grid sees of them. ResourceGuardError, before any
+    allocation, when the level needs more than MAX_GRID_BYTES."""
+    l, n = rho.spin, spec.n_phi
+    if (need := _level_bytes(l, spec)) > MAX_GRID_BYTES:
+        raise ResourceGuardError(f"quadrature level ({spec.n_theta}, {n}) at twice_l={l.twice_l} needs "
+                                 f"{need} bytes, over the {MAX_GRID_BYTES}-byte guard")
+    r, w_theta = radial_table(l, spec.n_theta)
+    d = l.dim
+    k, a = np.indices((d, d))
+    b = np.minimum(a + k, d - 1)
+    diagonals = np.where(a + k < d, rho.matrix[a, b], 0)  # [k, a] = rho[a, a+k]
+    pairs = r.T[b]  # [k, a, t] = r_(a+k) on ring t
+    pairs *= r.T  # ... times r_a
+    # c_k = sum_a r_a r_(a+k) rho[a, a+k] as one real batched product over (Re, Im) of rho
+    re_im = np.stack([diagonals.real, diagonals.imag], axis=1) @ pairs  # (k, 2, t)
+    c = (re_im[:, 0] + 1j * re_im[:, 1]).T  # (n_theta, 2l+1), k = 0 .. 2l
+    harmonics = np.concatenate([c[:, :0:-1].conj(), c], axis=1)  # k = -2l .. 2l
+    bins = np.arange(-l.twice_l, l.twice_l + 1) % n
+    kept = bins <= n // 2  # the other bins hold the conjugates of these
+    half = np.zeros((spec.n_theta, min(l.twice_l, n // 2) + 1), dtype=complex)
+    np.add.at(half, (slice(None), bins[kept]), n * harmonics[:, kept])
+    f = np.fft.irfft(half, n, axis=1)  # zero-pads the half spectrum to n // 2 + 1 bins
+    return np.clip(f, 0.0, 1.0, out=f), w_theta
 
 
 def wehrl_fixed(rho: DensityMatrix, spec: QuadratureSpec) -> float:
-    """Wehrl entropy on the one grid `spec`, without refinement."""
-    V, w = amplitude_grid(rho.spin, spec)
-    f = _husimi_on_grid(rho, V)
-    return float(-rho.spin.dim * np.sum(w * xlogy(f, f)))
+    """Wehrl entropy on the one grid `spec`, without refinement: the rings'
+    Husimi values from their Fourier coefficients, then the weighted f ln f."""
+    f, w_theta = _husimi_rings(rho, spec)
+    return float(-rho.spin.dim * (w_theta @ xlogy(f, f, out=f).sum(axis=1)) / spec.n_phi)
 
 
 def starting_spec(twice_l: int, tol: float = QuadratureSpec.tol) -> QuadratureSpec:
@@ -119,13 +158,12 @@ def starting_spec(twice_l: int, tol: float = QuadratureSpec.tol) -> QuadratureSp
 
 def wehrl(rho: DensityMatrix, spec: QuadratureSpec | None = None) -> float:
     """Wehrl entropy -(2l+1) \\int dOmega/4pi rho(Omega) ln rho(Omega) by node
-    doubling until two levels agree to spec.tol. ConvergenceError, with the
-    last difference and grid, comes before a level would pass MAX_N_THETA or
-    MAX_GRID_BYTES of complex amplitudes."""
+    doubling until two levels agree to spec.tol; each level is `wehrl_fixed`,
+    ring by ring. ConvergenceError, with the last difference and grid, comes
+    before a level would pass MAX_N_THETA or allocate more than MAX_GRID_BYTES."""
     spec = spec or starting_spec(rho.spin.twice_l)
     prev, diff, last = np.inf, np.inf, None
-    amplitude_bytes = rho.spin.dim * np.dtype(complex).itemsize  # per grid node
-    while spec.n_theta <= MAX_N_THETA and spec.n_theta * spec.n_phi * amplitude_bytes <= MAX_GRID_BYTES:
+    while spec.n_theta <= MAX_N_THETA and _level_bytes(rho.spin, spec) <= MAX_GRID_BYTES:
         cur = wehrl_fixed(rho, spec)
         diff, prev = abs(cur - prev), cur
         if diff < spec.tol:
@@ -228,8 +266,8 @@ def wehrl_closed(spin: SpinLabel, chordal: ChordalData) -> float:
 
 
 def renyi_wehrl_moment(rho: DensityMatrix, n: int, spec: QuadratureSpec) -> float:
-    """Moment M_n = (2l+1) \\int dOmega/4pi rho(Omega)^n, exact for the
-    supplied quadrature when it resolves the degree-4ln integrand."""
+    """Moment M_n = (2l+1) \\int dOmega/4pi rho(Omega)^n on the Husimi rings
+    of `spec`, exact when the quadrature resolves the degree-4ln integrand."""
     if n < 1:
         raise ValueError("Renyi order must be a positive integer")
     tl = rho.spin.twice_l
@@ -237,9 +275,8 @@ def renyi_wehrl_moment(rho: DensityMatrix, n: int, spec: QuadratureSpec) -> floa
         raise QuadratureOrderError(
             f"need n_theta >= {tl * n + 1}, n_phi >= {2 * tl * n + 1} for twice_l={tl}, n={n}"
         )
-    V, w = amplitude_grid(rho.spin, spec)
-    f = _husimi_on_grid(rho, V)
-    return float(rho.spin.dim * np.sum(w * f ** n))
+    f, w_theta = _husimi_rings(rho, spec)
+    return float(rho.spin.dim * (w_theta @ np.power(f, n, out=f).sum(axis=1)) / spec.n_phi)
 
 
 def stretched_chain_isometry(l: SpinLabel, n: int) -> np.ndarray:

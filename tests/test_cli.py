@@ -136,6 +136,37 @@ def test_scan_conjecture_wehrl(tmp_path, capsys):
     assert out["results"]["optimizer_minimum"] == pytest.approx(0.5, abs=1e-6)
 
 
+@pytest.mark.parametrize("objective,twice_l", [("wehrl", 3), ("projection:10", 2), ("angular", 2)])
+def test_scan_conjecture_samples_from_batch_routes(objective, twice_l, capsys):
+    # the samples are drawn in the same order as before and valued by the
+    # batched routes, which agree with the optimizer's search function
+    main(["scan-conjecture", "--objective", objective, "--twice-l", str(twice_l),
+          "--samples", "40", "--restarts", "1", "--seed", "6"])
+    sample_min = json.loads(capsys.readouterr().out)["results"]["sample_minimum"]
+    l = SpinLabel(twice_l)
+    rng = np.random.default_rng(6)
+    amp = np.array([random_pure(l, rng).amplitudes for _ in range(40)])
+    parsed = cli._parse_objective(objective)
+    search = majorize.objective_fn(l, parsed)
+    assert abs(sample_min - min(cli._sample_values(l, parsed, amp))) < 1e-12
+    assert abs(sample_min - min(search(np.concatenate([a.real, a.imag]))[0] for a in amp)) < 1e-12
+
+
+def test_entropy_command_renyi_coherent_off_pole(tmp_path, capsys):
+    # [DERIVED] coherent state: M_3 = (2l+1)/(6l+1) = 5/13 at twice_l = 4;
+    # off the pole, every ring coefficient is nonzero
+    path = write_json_state(tmp_path / "coh.json", coherent_state(SpinLabel(4), SphereDirection(1.1, 0.7)))
+    assert main(["entropy", "--state", path, "--which", "renyi:3"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["moment"] == pytest.approx(5 / 13, abs=1e-12)
+
+
+def test_entropy_command_renyi_level_guard(tmp_path, capsys):
+    path = write_json_state(tmp_path / "coh.json", coherent_state(SpinLabel(4), SphereDirection(1.1, 0.7)))
+    assert main(["entropy", "--state", path, "--which", "renyi:5000"]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
 def test_sun_clone_command(capsys):
     code = main(["sun", "--modes", "2", "--bosons", "1", "--copies", "1",
                  "--mode", "clone"])

@@ -3,9 +3,10 @@ from math import comb, log
 
 import numpy as np
 import pytest
+from scipy.special import xlogy
 
 from spinwehrl import entropy
-from spinwehrl.coherent import StellarRoots, amplitude_grid, coherent_state, state_from_roots
+from spinwehrl.coherent import StellarRoots, amplitude_grid, coherent_state, radial_table, state_from_roots
 from spinwehrl.entropy import (
     chordal_data,
     clamp_eigenvalues,
@@ -154,21 +155,26 @@ def test_exact_wehrl_fallback_is_the_quadrature(monkeypatch):
 
 def test_wehrl_byte_guard_fires_before_allocation(monkeypatch):
     # rank 1: a full-rank Ginibre state has a Husimi function bounded away
-    # from 0, whose levels agree exactly once rounding dominates
+    # from 0, whose levels agree exactly once rounding dominates. A 16 MiB
+    # guard stops the doubling before 1024 x 2048 here, far below MAX_N_THETA,
+    # whose 4096-node Gauss-Legendre rule alone takes seconds to build
     rng = np.random.default_rng(23)
     spin = SpinLabel(8)
     rho = random_density(spin, rng, rank=1)
     requested = []
+    rings = entropy._husimi_rings
 
-    def recording_grid(l, spec):
+    def recording_rings(rho, spec):
         requested.append(spec)
-        return amplitude_grid(l, spec)
+        return rings(rho, spec)
 
-    monkeypatch.setattr(entropy, "amplitude_grid", recording_grid)
+    monkeypatch.setattr(entropy, "MAX_GRID_BYTES", 2 ** 24)
+    monkeypatch.setattr(entropy, "_husimi_rings", recording_rings)
     with pytest.raises(ConvergenceError) as err:
         wehrl(rho, QuadratureSpec(32, 64, 1e-300))
-    largest = max(s.n_theta * s.n_phi for s in requested) * spin.dim * 16
+    largest = max(entropy._level_bytes(spin, s) for s in requested)
     assert largest <= entropy.MAX_GRID_BYTES < 4 * largest
+    assert requested[-1].doubled().n_theta <= entropy.MAX_N_THETA
     assert err.value.last_spec == requested[-1]
     assert np.isfinite(err.value.last_difference)
 
@@ -180,21 +186,99 @@ def test_mixed_state_wehrl_value():
         assert wehrl(rho) == pytest.approx(np.log(tl + 1.0), abs=1e-10)
 
 
-def test_husimi_on_grid_matches_einsum_with_bounded_temporaries():
-    # beyond V: one (nodes, 2l+1) product and one complex value per node, with
-    # 64 KiB of slack (the einsum on a V.conj() copy peaked at 1.375 V.nbytes)
-    l = SpinLabel(2)
-    V, _ = amplitude_grid(l, QuadratureSpec(256, 512))
-    rho = random_density(l, np.random.default_rng(3))
-    reference = np.clip(np.einsum("ni,ij,nj->n", V.conj(), rho.matrix, V).real, 0.0, 1.0)
+def dense_husimi(rho, spec):
+    """Oracle: the Husimi function on the flattened grid through the complex
+    amplitude grid (the mixed-state route before the Husimi rings), and the
+    grid's weights."""
+    V, w = amplitude_grid(rho.spin, spec)
+    return np.clip(np.vecdot(V @ rho.matrix.conj(), V).real, 0.0, 1.0), w
+
+
+def dense_wehrl(rho):
+    """Oracle: the adaptive quadrature of `wehrl` with dense_husimi levels."""
+    spec, prev = entropy.starting_spec(rho.spin.twice_l), np.inf
+    while spec.n_theta <= entropy.MAX_N_THETA:
+        f, w = dense_husimi(rho, spec)
+        cur = float(-rho.spin.dim * np.sum(w * xlogy(f, f)))
+        if abs(cur - prev) < spec.tol:
+            return cur
+        prev, spec = cur, spec.doubled()
+    raise AssertionError("dense quadrature did not converge")
+
+
+# even and odd n_phi; below 4l+1 nodes per ring (n_phi = 7, 4, 1 here) the
+# harmonics fold modulo n_phi
+RING_SPECS = [QuadratureSpec(32, 64), QuadratureSpec(17, 33), QuadratureSpec(9, 7),
+              QuadratureSpec(6, 4), QuadratureSpec(5, 1)]
+
+
+@pytest.mark.parametrize("tl", range(9))
+def test_husimi_rings_match_dense_oracle(tl):
+    # Ginibre states: on rank-1 states the oracle's own rounding reaches
+    # 1.2e-15 against a 40-digit evaluation, where the rings stay within 3e-16
+    spin = SpinLabel(tl)
+    rho = random_density(spin, np.random.default_rng(30 + tl))
+    for spec in RING_SPECS:
+        f, w_theta = entropy._husimi_rings(rho, spec)
+        oracle, w = dense_husimi(rho, spec)
+        assert f.shape == (spec.n_theta, spec.n_phi)
+        assert np.max(np.abs(f.ravel() - oracle)) < 1e-15
+        assert np.max(np.abs(np.outer(w_theta, np.full(spec.n_phi, 1 / spec.n_phi)).ravel() - w)) < 1e-16
+
+
+@pytest.mark.parametrize("tl", range(1, 9))
+def test_mixed_wehrl_and_renyi_match_dense_quadrature(tl):
+    spin = SpinLabel(tl)
+    rng = np.random.default_rng(40 + tl)
+    for rho in (random_density(spin, rng), random_density(spin, rng, rank=1),
+                DensityMatrix.maximally_mixed(spin)):
+        assert abs(wehrl(rho) - dense_wehrl(rho)) < 1e-14
+        for spec in RING_SPECS[:3]:
+            f, w = dense_husimi(rho, spec)
+            assert abs(entropy.wehrl_fixed(rho, spec) + spin.dim * np.sum(w * xlogy(f, f))) < 1e-14
+        for n in (2, 3):
+            spec = QuadratureSpec(tl * n + 1, 2 * tl * n + 1)
+            f, w = dense_husimi(rho, spec)
+            expected = spin.dim * np.sum(w * f ** n)
+            assert abs(renyi_wehrl_moment(rho, n, spec) - expected) < 1e-14 * expected
+
+
+def test_mixed_route_builds_no_amplitude_grid(monkeypatch):
+    def no_grid(l, spec):
+        raise AssertionError("complex amplitude grid built")
+
+    monkeypatch.setattr(entropy, "amplitude_grid", no_grid)
+    rho = random_density(SpinLabel(4), np.random.default_rng(9))
+    assert wehrl(rho) == pytest.approx(dense_wehrl(rho), abs=1e-14)
+    assert renyi_wehrl_moment(rho, 2, exact_spec(4, 2)) > 0
+
+
+@pytest.mark.parametrize("tl,spec", [(2, QuadratureSpec(256, 512)), (8, QuadratureSpec(64, 128)),
+                                     (16, QuadratureSpec(128, 3)), (40, QuadratureSpec(64, 5))])
+def test_wehrl_level_peak_within_guard_estimate(tl, spec):
+    # the bytes the guard checks bound one level's traced peak, the uncached
+    # radial table, the coefficients and the in-place f ln f included
+    spin = SpinLabel(tl)
+    rho = random_density(spin, np.random.default_rng(3))
+    entropy.wehrl_fixed(rho, QuadratureSpec(3, 5))  # first-call set-up outside the measurement
+    radial_table.cache_clear()
     tracemalloc.start()
     try:
-        f = entropy._husimi_on_grid(rho, V)
+        entropy.wehrl_fixed(rho, spec)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert np.max(np.abs(f - reference)) < 1e-15
-    assert peak < V.nbytes * (1 + 1 / l.dim) + 2 ** 16, peak / V.nbytes
+    assert peak <= entropy._level_bytes(spin, spec), peak / entropy._level_bytes(spin, spec)
+
+
+def test_quadrature_level_guard_fires_before_allocation(monkeypatch):
+    def no_table(l, n_theta):
+        raise AssertionError("radial table built before the guard was checked")
+
+    monkeypatch.setattr(entropy, "radial_table", no_table)
+    rho = coherent_state(SpinLabel(4), SphereDirection(0.4, 0.4)).density()
+    with pytest.raises(ResourceGuardError):
+        renyi_wehrl_moment(rho, 5000, QuadratureSpec(4 * 5000 + 1, 8 * 5000 + 1))
 
 
 def test_wehrl_rotation_invariance():
