@@ -24,7 +24,6 @@ from .coherent import (
 )
 from .quadrature import QuadratureSpec
 from .entropy import (
-    CHORDAL_SCALE,
     ChordalData,
     povm_entropy,
     renyi_wehrl_moment,

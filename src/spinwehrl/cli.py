@@ -34,6 +34,7 @@ emitted with 17 significant digits so files round-trip losslessly.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -51,8 +52,8 @@ from .quadrature import QuadratureSpec
 from .su2 import PureState, SpinLabel, random_pure
 
 DEFAULT_TOL_ENV = "SPINWEHRL_TOL"
-#: States drawn and evaluated at a time by scan-conjecture, which bounds its
-#: memory at any --samples.
+#: States drawn and evaluated at a time by scan-conjecture and
+#: figure-projection, which bounds their memory at any --samples.
 _SAMPLE_CHUNK = 256
 
 
@@ -164,12 +165,14 @@ def _parse_csv_state(text: str):
     return amps, twice_l
 
 
+def _open_out(args):
+    """The --out file, opened for writing, or else stdout, as a context manager."""
+    return open(args.out, "w") if getattr(args, "out", None) else contextlib.nullcontext(sys.stdout)
+
+
 def _emit(args, text: str):
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _open_out(args) as fh:
+        fh.write(text)
 
 
 def _report(args, command: str, seed, tolerances: dict, results: dict, t0: float) -> int:
@@ -233,23 +236,31 @@ def cmd_figure_projection(args) -> int:
     j_labels = [parse_half_integer(tok) for tok in args.j_list.split(",") if tok.strip()]
     for j in j_labels:
         _require_projection_j("figure-projection", j)
-    tol = _default_tol()
-    rng = np.random.default_rng(args.seed)
-    amp = np.array([random_pure(l, rng).amplitudes for _ in range(args.samples)])
-    s_w = entropy.wehrl_pure_batch(l, amp, entropy.starting_spec(l.twice_l, tol))
-    rhos = amp[:, :, None] * amp[:, None, :].conj()
+    spec = entropy.starting_spec(l.twice_l, _default_tol())
     header = ["index", "S_W"]
-    columns = [s_w]
     for j in j_labels:
         tag = _spin_tag(j)
         header += [f"S_pro_shifted_j{tag}", f"gap_j{tag}"]
-        shifted = channels.projection_entropy_batch(l, j, rhos) + channels.projection_shift(l, j)
-        columns += [shifted, s_w - shifted]
-    lines = [",".join(header)]
-    for i, row in enumerate(np.column_stack(columns)):
-        lines.append(",".join([str(i)] + [_fmt(float(x)) for x in row]))
-    _emit(args, "\n".join(lines) + "\n")
+    with _open_out(args) as fh:
+        fh.write(",".join(header) + "\n")
+        for start, amp in _sample_chunks(l, args.samples, args.seed):
+            s_w = entropy.wehrl_pure_batch(l, amp, spec)
+            rhos = amp[:, :, None] * amp[:, None, :].conj()
+            columns = [s_w]
+            for j in j_labels:
+                shifted = channels.projection_entropy_batch(l, j, rhos) + channels.projection_shift(l, j)
+                columns += [shifted, s_w - shifted]
+            for i, row in enumerate(np.column_stack(columns), start):
+                fh.write(",".join([str(i)] + [_fmt(float(x)) for x in row]) + "\n")
     return 0
+
+
+def _sample_chunks(l: SpinLabel, samples: int, seed: int):
+    """Random pure states of spin l drawn in order from `seed`, as (index of
+    the first, amplitude rows) in chunks of _SAMPLE_CHUNK."""
+    rng = np.random.default_rng(seed)
+    for start in range(0, samples, _SAMPLE_CHUNK):
+        yield start, np.array([random_pure(l, rng).amplitudes for _ in range(min(_SAMPLE_CHUNK, samples - start))])
 
 
 def _require_projection_j(command: str, j: SpinLabel):
@@ -313,10 +324,8 @@ def cmd_scan_conjecture(args) -> int:
         _require_angular_spin(l)
     elif isinstance(objective, tuple):
         _require_projection_j("optimizer", objective[1])
-    rng = np.random.default_rng(args.seed)
     sample_min = np.inf
-    for start in range(0, args.samples, _SAMPLE_CHUNK):
-        amp = np.array([random_pure(l, rng).amplitudes for _ in range(min(_SAMPLE_CHUNK, args.samples - start))])
+    for _, amp in _sample_chunks(l, args.samples, args.seed):
         sample_min = min(sample_min, float(np.min(_sample_values(l, objective, amp))))
     opt = majorize.minimize_entropy(l, objective, restarts=args.restarts, seed=args.seed)
     benchmark = _coherent_benchmark(l, objective)

@@ -8,15 +8,16 @@ on a theta-ring the Husimi function is a trigonometric polynomial of degree 2l
 in phi, so its 2l+1 Fourier coefficients and one real inverse FFT give the
 ring's values, with no complex amplitude grid.
 Integer Renyi moments are polynomial integrands, so they are integrated
-exactly at a quadrature order derived from the degree, on the same rings; the
-same moments are also available through projection onto the maximum-spin part
-of rho^(x)n, which serves as an independent cross-check.
+exactly at a quadrature order derived from the degree, on the same rings. The
+same moments also come in closed form from the projection of rho^(x)n onto its
+maximum-spin part, the diagonal of one polynomial power, which serves as an
+independent cross-check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log
+from math import comb, log
 
 import numpy as np
 from scipy.special import xlogy
@@ -29,15 +30,7 @@ from .su2 import (
     DensityMatrix,
     PureState,
     SpinLabel,
-    coupling_isometry,
 )
-
-#: Calibrated scale of the "squared chordal distance" entering the spin-1 and
-#: spin-3/2 closed forms: mu = CHORDAL_SCALE * sin^2(Theta/2) for geodesic
-#: angle Theta, i.e. the chordal distance on a Bloch sphere of radius 1/2.
-#: The domain constraint 1/c = 1 - mu/2 > 0 rules out larger radii; the value
-#: is pinned by matching the quadrature route on random spin-1 states.
-CHORDAL_SCALE = 1.0
 
 MAX_N_THETA = 4096
 #: Largest number of bytes one quadrature level may allocate (`_level_bytes`).
@@ -48,6 +41,9 @@ EXACT_RESIDUAL_TOL = 1e-10
 #: Rows per `_exact_wehrl` call in `wehrl_pure_batch`; each row holds a few
 #: (2l, (2l+1)(4l+1)) float arrays, about 52 KB at twice_l = 8.
 _WEHRL_CHUNK = 256
+#: Most multiply-adds `renyi_wehrl_projector` may spend on its polynomial
+#: power, about a second on a 2-CPU desk machine.
+RENYI_PROJECTOR_WORK = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -232,11 +228,12 @@ def _exact_wehrl(l: SpinLabel, amplitudes: np.ndarray, spec: QuadratureSpec | No
 
 
 def chordal_data(psi: PureState) -> ChordalData:
-    """Pairwise squared chordal distances sin^2(Theta/2) = (1 - cos Theta)/2
-    between the stellar roots of psi, the antipodes of its Husimi zeros."""
+    """Pairwise squared chordal distances mu = sin^2(Theta/2) = (1 - cos Theta)/2
+    between the stellar roots of psi, the antipodes of its Husimi zeros, for
+    geodesic angle Theta: the squared chord on a Bloch sphere of diameter 1."""
     z = husimi_zeros(psi.spin, psi.amplitudes[None])[0]
     i, j = np.triu_indices(len(z), 1)
-    return ChordalData(tuple(float(x) for x in CHORDAL_SCALE * (1 - np.sum(z[i] * z[j], axis=1)) / 2))
+    return ChordalData(tuple(float(x) for x in (1 - np.sum(z[i] * z[j], axis=1)) / 2))
 
 
 def wehrl_closed(spin: SpinLabel, chordal: ChordalData) -> float:
@@ -248,7 +245,8 @@ def wehrl_closed(spin: SpinLabel, chordal: ChordalData) -> float:
         (mu,) = chordal.values
         inv_c = 1.0 - mu / 2.0
         if inv_c <= 0:
-            raise ValueError("1/c <= 0: squared distance violates the calibrated convention")
+            raise ValueError("1/c <= 0: squared distance is not a squared chord sin^2(Theta/2) "
+                             "on a Bloch sphere of diameter 1")
         c = 1.0 / inv_c
         return 2.0 / 3.0 + c * (mu / 2.0 + inv_c * log(inv_c))
     if spin.twice_l == 3:
@@ -259,7 +257,8 @@ def wehrl_closed(spin: SpinLabel, chordal: ChordalData) -> float:
         e2 = (eps * mu + eps * nu + mu * nu) / 6.0
         inv_c = 1.0 - e1
         if inv_c <= 0:
-            raise ValueError("1/c <= 0: squared distances violate the calibrated convention")
+            raise ValueError("1/c <= 0: squared distances are not squared chords sin^2(Theta/2) "
+                             "on a Bloch sphere of diameter 1")
         c = 1.0 / inv_c
         return 3.0 / 4.0 + c * (e1 - e2 + inv_c * log(inv_c))
     raise ValueError(f"closed form only available for spin 1 and 3/2, got l={spin.l}")
@@ -279,46 +278,32 @@ def renyi_wehrl_moment(rho: DensityMatrix, n: int, spec: QuadratureSpec) -> floa
     return float(rho.spin.dim * (w_theta @ np.power(f, n, out=f).sum(axis=1)) / spec.n_phi)
 
 
-def stretched_chain_isometry(l: SpinLabel, n: int) -> np.ndarray:
-    """Isometry [n*l] -> [l]^(x)n whose columns are the |nl, M> states."""
-    d = l.dim
-    W = np.eye(d)
-    for k in range(1, n):
-        V = coupling_isometry(SpinLabel(k * l.twice_l), l)
-        W = np.kron(W, np.eye(d)) @ V
-    return W
-
-
-def _apply_kron_power(rho: np.ndarray, n: int, vec: np.ndarray) -> np.ndarray:
-    """(rho^(x)n) @ vec without forming the Kronecker power."""
-    d = rho.shape[0]
-    t = vec.reshape((d,) * n)
-    for axis in range(n):
-        t = np.moveaxis(np.tensordot(rho, t, axes=([1], [axis])), 0, axis)
-    return t.ravel()
-
-
 def renyi_wehrl_projector(rho: DensityMatrix, n: int) -> float:
-    """Moment M_n from the projection of rho^(x)n onto its maximum-spin part,
-    normalized once per (l, n) so that coherent input reproduces the analytic
-    value (2l+1)/(2ln+1)."""
+    """Moment M_n = (2l+1)/(2nl+1) tr(Pi_nl rho^(x)n) from the projection of
+    rho^(x)n onto its maximum-spin part. The stretched states |nl, M> hold
+    sqrt(prod_i C(2l, a_i) / C(2nl, M)) on |a_1 ... a_n>, sum_i a_i = M, so
+    <nl, M|rho^(x)n|nl, M> = [x^M y^M] P^n / C(2nl, M) for the polynomial
+    P(x, y) = sum_ab rho[a, b] sqrt(C(2l, a) C(2l, b)) x^a y^b. P^n comes from
+    direct convolutions: FFT rounding would swamp the small coefficients that
+    the division by C(2nl, M) brings back. ResourceGuardError before the first
+    one when their sum_k<n (2kl+1)^2 (2l+1)^2 multiply-adds, summed in closed
+    form with about 1000 more for the dispatch of each of the (2l+1)^2 slice
+    updates per step, pass RENYI_PROJECTOR_WORK."""
     if n < 1:
         raise ValueError("Renyi order must be a positive integer")
-    d = rho.spin.dim
-    if d ** n > 100_000:
-        raise ResourceGuardError(f"(2l+1)^n = {d ** n} exceeds the desk-scale guard")
-    W = stretched_chain_isometry(rho.spin, n)
-    tl = rho.spin.twice_l
-
-    def raw(mat: np.ndarray) -> float:
-        total = 0.0
-        for col in range(W.shape[1]):
-            wv = W[:, col]
-            total += np.vdot(wv, _apply_kron_power(mat, n, wv)).real
-        return total
-
-    # coherent reference: |l,l> amplitudes (1, 0, ..., 0)
-    coh = np.zeros((d, d), dtype=complex)
-    coh[0, 0] = 1.0
-    norm = (tl + 1) / (tl * n + 1) / raw(coh)
-    return float(norm * raw(rho.matrix))
+    tl, d = rho.spin.twice_l, rho.spin.dim
+    work = (tl * tl * (n - 1) * n * (2 * n - 1) // 6 + tl * n * (n - 1) + 1001 * n) * d * d
+    if work > RENYI_PROJECTOR_WORK:
+        raise ResourceGuardError(f"Renyi projector at twice_l={tl}, n={n} needs {work} multiply-adds, "
+                                 f"over the {RENYI_PROJECTOR_WORK} guard")
+    root = np.sqrt([comb(tl, a) for a in range(d)])
+    p = rho.matrix * np.outer(root, root)
+    power = p
+    for k in range(1, n):
+        size = k * tl + 1
+        nxt = np.zeros((size + tl, size + tl), dtype=complex)
+        for a, b in np.ndindex(d, d):
+            nxt[a:a + size, b:b + size] += p[a, b] * power
+        power = nxt
+    binom = np.array([comb(n * tl, m) for m in range(n * tl + 1)], dtype=float)
+    return float(d / (n * tl + 1) * np.sum(np.diagonal(power).real / binom))

@@ -8,17 +8,19 @@ most one nonzero entry: one cached gather table per (N, M, k) holds them all,
 read straight from the occupation basis. Read the other way, the same table
 gives the annihilation strings behind the reduced density maps. On pure
 states, or stacks of them, the majorization spectra, the measure-and-prepare
-channel and the decomposition's reduced densities are each one Gram matrix of
-images gathered from these tables. The coherent condensate's cloning spectrum
-is closed-form. The dense Kraus sum and symmetric isometry, the per-sample
-SVD and the per-entry reduced-density trace are the test oracles.
+channel and the decomposition check's reduced densities are each one Gram
+matrix of images gathered from these tables. The coherent condensate's cloning
+spectrum and the coefficients of the measure-and-prepare decomposition into
+cloning channels are closed-form. The dense Kraus sum and symmetric isometry,
+the per-sample SVD, the per-entry reduced-density trace and the least-squares
+fit of the decomposition are the test oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial, prod, sqrt
+from math import comb, factorial, perm, prod, sqrt
 
 import numpy as np
 
@@ -242,35 +244,28 @@ class DecompositionResult:
 
 def decompose_measure_prepare(n_modes: int, m_bosons: int, k: int,
                               batch: int = 20, seed: int = 0) -> DecompositionResult:
-    """Fit measure-and-prepare = sum_l C_l Phi^l(gamma^(k-l)) over a batch of
-    random pure states; C_l with k-l > M (more removals than bosons) are
-    reported as 0. Raises DecompositionError when the joint fit residual
-    exceeds 1e-9."""
+    """Coefficients of measure-and-prepare = sum_l C_l Phi^l(gamma^(k-l)) in
+    closed form: Wick-ordering the entries a^nu (a*)^mu of the Gram matrix
+    <K_nu psi, K_mu psi> gives C_l proportional to C(k+N-1, l)/(k-l)!, and 0
+    where k-l > M (more removals than bosons). gamma^(k-l) has trace
+    M!/(M-k+l)!, so the trace rule sum_l C_l M!/(M-k+l)! = 1 fixes the
+    constant. residual is max |sum_l C_l Phi^l(gamma^(k-l)) - MP| over a batch
+    of random pure states; DecompositionError when it exceeds 1e-9."""
     space = SymmetricSpace(n_modes, m_bosons)
+    raw = np.array([comb(k + n_modes - 1, ell) / factorial(k - ell) if k - ell <= m_bosons else 0.0
+                    for ell in range(k + 1)])
+    coefs = raw / sum(c * perm(m_bosons, k - ell) for ell, c in enumerate(raw))
     src = _cloning_gather(n_modes, m_bosons, k)[0]
-    valid = [ell for ell in range(k + 1) if k - ell <= m_bosons]
-    rows = []
-    targets = []
+    residual = 0.0
     for psi in _state_chunks(space.dim, max(batch, 1), seed, src.size):
         # gamma^(k-l)(psi psi^dag) straight from the amplitudes, then Phi^l
-        feats = [apply_cloning(SymmetricSpace(n_modes, k - ell),
-                               _image_gram(psi, *_annihilation_gather(n_modes, m_bosons, k - ell)), ell)
-                 for ell in valid]
-        rows.append(np.stack(feats, axis=-1).reshape(-1, len(valid)))
-        targets.append(measure_prepare_channel(space, psi, k).ravel())
-    A = np.concatenate(rows)
-    b = np.concatenate(targets)
-    # real least squares over stacked real/imag parts
-    A2 = np.vstack([A.real, A.imag])
-    b2 = np.concatenate([b.real, b.imag])
-    coefs, *_ = np.linalg.lstsq(A2, b2, rcond=None)
-    residual = float(np.max(np.abs(A2 @ coefs - b2)))
+        fit = sum(c * apply_cloning(SymmetricSpace(n_modes, k - ell),
+                                    _image_gram(psi, *_annihilation_gather(n_modes, m_bosons, k - ell)), ell)
+                  for ell, c in enumerate(coefs) if c)
+        residual = max(residual, float(np.max(np.abs(fit - measure_prepare_channel(space, psi, k)))))
     if residual > 1e-9:
         raise DecompositionError(f"decomposition residual {residual} exceeds 1e-9")
-    full = np.zeros(k + 1)
-    for ell, c in zip(valid, coefs):
-        full[ell] = c
-    return DecompositionResult(full, residual)
+    return DecompositionResult(coefs, residual)
 
 
 @dataclass(frozen=True)

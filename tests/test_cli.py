@@ -1,5 +1,6 @@
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -125,6 +126,25 @@ def test_figure_projection_matches_dense_recomputation(tmp_path):
             shifted = entropy.entropy_of_spectrum(dual) + channels.projection_shift(l, j)
             assert abs(float(row[f"S_pro_shifted_j{tag}"]) - shifted) < 1e-12
             assert abs(float(row[f"gap_j{tag}"]) - (s_w - shifted)) < 1e-12
+
+
+def test_figure_projection_memory_stays_with_the_chunk(tmp_path):
+    # amplitudes and density matrices are drawn and evaluated _SAMPLE_CHUNK
+    # states at a time and each row is written as it comes, so five chunks
+    # peak about where one does; the first chunk's rows do not change
+    peaks, texts = [], []
+    for samples in (cli._SAMPLE_CHUNK, 5 * cli._SAMPLE_CHUNK):
+        out_file = tmp_path / f"fig{samples}.csv"
+        argv = ["figure-projection", "--twice-l", "1", "--samples", str(samples),
+                "--j-list", "1", "--seed", "2", "--out", str(out_file)]
+        tracemalloc.start()
+        assert main(argv) == 0
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        texts.append(out_file.read_text().splitlines())
+    assert peaks[1] < 1.5 * peaks[0], peaks
+    assert len(texts[1]) == 5 * cli._SAMPLE_CHUNK + 1
+    assert texts[1][:len(texts[0])] == texts[0]
 
 
 def test_scan_conjecture_wehrl(tmp_path, capsys):

@@ -26,6 +26,7 @@ from spinwehrl.su2 import (
     PureState,
     SphereDirection,
     SpinLabel,
+    coupling_isometry,
     random_density,
     random_pure,
 )
@@ -380,15 +381,34 @@ def exact_spec(tl, n):
     return QuadratureSpec(2 * tl * n + 2, 4 * tl * n + 4)
 
 
-@pytest.mark.parametrize("tl,n", [(1, 2), (2, 2), (2, 3), (3, 2), (4, 2)])
+def kron_chain_moment(rho, n):
+    """M_n = (2l+1)/(2nl+1) tr(W^dag rho^(x)n W) through the stretched chain
+    isometry W: [nl] -> [l]^(x)n, built by repeated Clebsch-Gordan coupling,
+    with rho applied along each tensor factor of W's columns."""
+    l, d = rho.spin, rho.spin.dim
+    W = np.eye(d)
+    for k in range(1, n):
+        W = np.kron(W, np.eye(d)) @ coupling_isometry(SpinLabel(k * l.twice_l), l)
+    t = W.reshape((d,) * n + (-1,))
+    for axis in range(n):
+        t = np.moveaxis(np.tensordot(rho.matrix, t, axes=([1], [axis])), 0, axis)
+    return (l.twice_l + 1) / (l.twice_l * n + 1) * np.vdot(W, t.reshape(W.shape)).real
+
+
+@pytest.mark.parametrize("tl,n", [(1, 2), (2, 2), (2, 3), (3, 2), (4, 2), (8, 4), (6, 6), (12, 5)])
 def test_renyi_moment_routes_agree(tl, n):
+    # M_n falls below 1e-3 at the larger shapes, so the routes are compared
+    # relatively; the Kronecker chain holds (2l+1)^n rows and runs where that
+    # stays below 10^5
     rng = np.random.default_rng(7)
     spin = SpinLabel(tl)
     for _ in range(5):
         rho = random_pure(spin, rng).density()
         a = renyi_wehrl_moment(rho, n, exact_spec(tl, n))
         b = renyi_wehrl_projector(rho, n)
-        assert a == pytest.approx(b, abs=1e-12)
+        assert a == pytest.approx(b, rel=1e-12, abs=0)
+        if spin.dim ** n <= 100_000:
+            assert kron_chain_moment(rho, n) == pytest.approx(b, rel=1e-12, abs=0)
 
 
 def test_renyi_moment_coherent_value():
@@ -406,7 +426,14 @@ def test_renyi_moment_quadrature_guard():
         renyi_wehrl_moment(rho, 3, QuadratureSpec(4, 4))
 
 
-def test_renyi_projector_resource_guard():
-    rho = coherent_state(SpinLabel(20), SphereDirection(0.0, 0.0)).density()
+def _not_before_guard(*args, **kwargs):
+    raise AssertionError("called before the guard was checked")
+
+
+def test_renyi_projector_resource_guard(monkeypatch):
+    # 3.9e8 multiply-adds at twice_l = 40, n = 8: refused before the
+    # polynomial's coefficients are formed
+    rho = coherent_state(SpinLabel(40), SphereDirection(0.0, 0.0)).density()
+    monkeypatch.setattr(entropy, "comb", _not_before_guard)
     with pytest.raises(ResourceGuardError):
-        renyi_wehrl_projector(rho, 4)
+        renyi_wehrl_projector(rho, 8)

@@ -366,14 +366,22 @@ def test_measure_prepare_routes_agree():
             assert np.trace(a) == pytest.approx(1.0, abs=1e-11)
 
 
-def test_decomposition_two_mode_single_boson():
-    # [DERIVED] N=2, M=1, k=1: coefficients (1/3, 2/3)
-    res = decompose_measure_prepare(2, 1, 1)
-    assert np.allclose(res.coefficients, [1 / 3, 2 / 3], atol=1e-10)
-    assert res.residual < 1e-9
+@pytest.mark.parametrize("n_modes,m,k,expected", [
+    (2, 1, 1, [1 / 3, 2 / 3]),
+    (4, 4, 4, [1 / 7920, 7 / 1980, 7 / 220, 7 / 66, 7 / 66]),
+    # at N = 1 every channel is the 1 x 1 identity, so a fit is not unique
+    # (the minimum-norm least squares gives (0.4, 0.2)); the formula still
+    # rebuilds the channel
+    (1, 2, 1, [1 / 3, 1 / 3]),
+])
+def test_decomposition_closed_form_values(n_modes, m, k, expected):
+    res = decompose_measure_prepare(n_modes, m, k)
+    assert np.max(np.abs(res.coefficients - expected)) < 1e-15
+    assert res.residual <= 1e-9
 
 
-@pytest.mark.parametrize("n_modes,m,k", [(2, 2, 1), (2, 2, 2), (3, 1, 1), (3, 2, 2)])
+@pytest.mark.parametrize("n_modes,m,k", [(2, 2, 1), (2, 2, 2), (3, 1, 1), (3, 2, 2),
+                                         (1, 2, 1), (1, 4, 4), (1, 0, 3), (2, 0, 2), (3, 2, 0)])
 def test_decomposition_properties(n_modes, m, k):
     res = decompose_measure_prepare(n_modes, m, k)
     assert res.residual < 1e-9
