@@ -21,7 +21,7 @@ from math import log
 import numpy as np
 from scipy.linalg import eigvals_banded
 
-from .entropy import clamp_eigenvalues, clamped_spectrum, entropy_of_spectrum
+from .entropy import MAX_GRID_BYTES, clamp_eigenvalues, clamped_spectrum, entropy_of_spectrum
 from .errors import ResourceGuardError
 from .su2 import (
     DensityMatrix,
@@ -112,8 +112,14 @@ def projection_output_band(l: SpinLabel, j: SpinLabel, rhos: np.ndarray) -> np.n
     density matrices, shape (..., 2l+1, 2(l+j)+1): entry k of column c is
     out[c+k, c] = (2l+1)/(2(l+j)+1) sum_a rho[a+k, a] T[a+k, c-a] T[a, c-a]
     for the stretched table T, and out is zero beyond k = 2l. O(l^2 j) per
-    state, with no dense output or dual factor."""
-    d = l.dim
+    state, with no dense output or dual factor. ResourceGuardError, before
+    the weights are built, when one state needs more than MAX_GRID_BYTES:
+    `_band_weights` holds up to seven (d, d, D) 8-byte arrays at its peak
+    (index grids, gathered indices, weights), the band about eight (d, D)."""
+    d, D = l.dim, l.dim + j.twice_l
+    if (need := 8 * d * D * (7 * d + 8)) > MAX_GRID_BYTES:
+        raise ResourceGuardError(f"projection band at twice_l={l.twice_l}, twice_j={j.twice_l} needs "
+                                 f"{need} bytes, over the {MAX_GRID_BYTES}-byte guard")
     k, a = np.indices((d, d))
     diagonals = np.asarray(rhos)[..., np.minimum(a + k, d - 1), a]  # rho[a+k, a]; C is 0 past the edge
     return np.einsum("...ka,kac->...kc", diagonals, _band_weights(l, j))

@@ -20,8 +20,9 @@ Exit codes, each failure with a one-line message on stderr:
 * 2 conjecture-scan counterexample;
 * 3 a guard or numerical limit was hit: a resource guard (figure-projection
   twice_l <= 8 and j <= 100, the optimizer's twice_l <= 16 and projection
-  j <= 100, tensor dimensions, the output dimension dim H(N, M+k) <=
-  10000 that every ``sun`` mode holds, and the byte guard of a Renyi
+  j <= 100, entropy's projection j <= 100, tensor dimensions, the output
+  dimension dim H(N, M+k) <= 10000 that every ``sun`` mode holds, and the
+  byte guards of the exact Wehrl grid, a projection band and a Renyi
   quadrature level), a Wehrl quadrature that did not converge within its
   grid limit, or a measure-and-prepare decomposition above its residual
   threshold.
@@ -38,7 +39,6 @@ import contextlib
 import csv
 import io
 import json
-import os
 import sys
 import time
 from functools import lru_cache
@@ -51,7 +51,6 @@ from .errors import ConvergenceError, DecompositionError, ResourceGuardError
 from .quadrature import QuadratureSpec
 from .su2 import PureState, SpinLabel, random_pure
 
-DEFAULT_TOL_ENV = "SPINWEHRL_TOL"
 #: States drawn and evaluated at a time by scan-conjecture and
 #: figure-projection, which bounds their memory at any --samples.
 _SAMPLE_CHUNK = 256
@@ -64,19 +63,6 @@ class CliError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise CliError(message)
-
-
-def _default_tol() -> float:
-    raw = os.environ.get(DEFAULT_TOL_ENV)
-    if raw is None:
-        return 1e-9
-    try:
-        tol = float(raw)
-    except ValueError:
-        raise CliError(f"invalid {DEFAULT_TOL_ENV}={raw!r}")
-    if tol <= 0:
-        raise CliError(f"{DEFAULT_TOL_ENV} must be positive")
-    return tol
 
 
 def _int_at_least(minimum: int):
@@ -189,13 +175,12 @@ def _report(args, command: str, seed, tolerances: dict, results: dict, t0: float
 
 def cmd_entropy(args) -> int:
     t0 = time.perf_counter()
-    tol = _default_tol()
     psi = load_state_file(args.state, normalize=args.normalize)
     l = psi.spin
     which = args.which
     results: dict = {"twice_l": l.twice_l, "which": which}
     if which == "wehrl":
-        results["value"] = entropy.wehrl_pure(psi, entropy.starting_spec(l.twice_l, tol))
+        results["value"] = entropy.wehrl_pure(psi)
     elif which == "vonneumann":
         results["value"] = entropy.von_neumann(psi.density())
     elif which == "angular":
@@ -203,6 +188,7 @@ def cmd_entropy(args) -> int:
         results["value"] = _angular_entropy(psi)
     elif which.startswith("projection:"):
         j = parse_half_integer(which.split(":", 1)[1])
+        _require_projection_j("entropy", j)
         value = channels.projection_entropy_pure(psi, j)
         results["value"] = value
         results["shift"] = channels.projection_shift(l, j)
@@ -214,8 +200,7 @@ def cmd_entropy(args) -> int:
             n = 0
         if n < 1:
             raise CliError(f"renyi order must be a positive integer in {which!r}")
-        spec = QuadratureSpec(l.twice_l * n + 1, 2 * l.twice_l * n + 1, tol)
-        moment = entropy.renyi_wehrl_moment(psi.density(), n, spec)
+        moment = entropy.renyi_wehrl_moment(psi.density(), n)
         results["moment"] = moment
         if n > 1:
             results["value"] = log(moment) / (1 - n)
@@ -226,7 +211,7 @@ def cmd_entropy(args) -> int:
                                  for k, v in results.items()]
         _emit(args, "\n".join(lines) + "\n")
         return 0
-    return _report(args, "entropy", None, {"tol": tol}, results, t0)
+    return _report(args, "entropy", None, {"tol": QuadratureSpec.tol}, results, t0)
 
 
 def cmd_figure_projection(args) -> int:
@@ -236,7 +221,6 @@ def cmd_figure_projection(args) -> int:
     j_labels = [parse_half_integer(tok) for tok in args.j_list.split(",") if tok.strip()]
     for j in j_labels:
         _require_projection_j("figure-projection", j)
-    spec = entropy.starting_spec(l.twice_l, _default_tol())
     header = ["index", "S_W"]
     for j in j_labels:
         tag = _spin_tag(j)
@@ -244,7 +228,7 @@ def cmd_figure_projection(args) -> int:
     with _open_out(args) as fh:
         fh.write(",".join(header) + "\n")
         for start, amp in _sample_chunks(l, args.samples, args.seed):
-            s_w = entropy.wehrl_pure_batch(l, amp, spec)
+            s_w = entropy.wehrl_pure_batch(l, amp)
             rhos = amp[:, :, None] * amp[:, None, :].conj()
             columns = [s_w]
             for j in j_labels:

@@ -17,8 +17,7 @@ from math import pi
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import QuadratureOrderError
-from .quadrature import QuadratureSpec, sphere_nodes
+from .quadrature import QuadratureSpec, exact_grid, sphere_nodes
 from .su2 import (
     DensityMatrix,
     PureState,
@@ -89,36 +88,12 @@ def radial_table(l: SpinLabel, n_theta: int):
     return r, w_theta
 
 
-_GRID_CACHE: dict = {}
-_GRID_CACHE_ENTRY_BYTES = 64 * 2 ** 20
-
-
 def amplitude_grid(l: SpinLabel, spec: QuadratureSpec):
-    """Coherent amplitudes on the quadrature grid plus flattened weights.
-
-    Returns (V, w) with V of shape (n_theta * n_phi, d) and w summing to 1.
-    Its callers are the exact (2l+1) x (4l+1) grid of the pure-state Wehrl
-    routes (`entropy._exact_wehrl`, behind `wehrl_pure_batch` and
-    `wehrl_pure_gradient`) and `completeness_defect`; the mixed-state
-    quadrature and the Renyi moments read `radial_table` instead.
-    Small grids are cached (read-only arrays): repeated entropy evaluations at
-    a fixed grid dominate the optimizer cost otherwise.  Grids above 64 MiB
-    are rebuilt on demand instead of pinned in memory.
-    """
-    key = (l, spec.n_theta, spec.n_phi)
-    hit = _GRID_CACHE.get(key)
-    if hit is not None:
-        return hit
+    """Coherent amplitudes V, shape (n_theta * n_phi, d), on the quadrature
+    grid and its flattened weights w, summing to 1; built on every call (the
+    pure-state Wehrl routes cache their exact grid, `entropy._exact_grid`)."""
     thetas, phis, wt, wp = sphere_nodes(spec)
-    V = _amplitudes(l, thetas, phis).reshape(-1, l.dim)
-    w = np.outer(wt, wp).ravel()
-    V.flags.writeable = False
-    w.flags.writeable = False
-    if V.nbytes <= _GRID_CACHE_ENTRY_BYTES:
-        if len(_GRID_CACHE) >= 64:
-            _GRID_CACHE.pop(next(iter(_GRID_CACHE)))
-        _GRID_CACHE[key] = (V, w)
-    return V, w
+    return _amplitudes(l, thetas, phis).reshape(-1, l.dim), np.outer(wt, wp).ravel()
 
 
 def husimi(rho: DensityMatrix, direction: SphereDirection) -> float:
@@ -136,12 +111,7 @@ def overlap_sq(l: SpinLabel, a: SphereDirection, b: SphereDirection) -> float:
 
 def completeness_defect(l: SpinLabel, spec: QuadratureSpec) -> float:
     """Max-norm of (2l+1) \\int dOmega/4pi |Omega><Omega| minus the identity."""
-    if spec.n_theta < l.twice_l + 1 or spec.n_phi < 2 * l.twice_l + 1:
-        raise QuadratureOrderError(
-            f"need n_theta >= {l.twice_l + 1} and n_phi >= {2 * l.twice_l + 1} "
-            f"for twice_l={l.twice_l}, got ({spec.n_theta}, {spec.n_phi})"
-        )
-    V, w = amplitude_grid(l, spec)
+    V, w = amplitude_grid(l, exact_grid(l.twice_l, spec=spec))
     resolution = (l.dim) * np.einsum("n,ni,nj->ij", w, V, V.conj())
     return float(np.max(np.abs(resolution - np.eye(l.dim))))
 

@@ -17,14 +17,15 @@ independent cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, log
 
 import numpy as np
 from scipy.special import xlogy
 
 from .coherent import amplitude_grid, husimi_zeros, radial_table
-from .errors import ConvergenceError, QuadratureOrderError, ResourceGuardError
-from .quadrature import QuadratureSpec, sphere_points
+from .errors import ConvergenceError, ResourceGuardError
+from .quadrature import QuadratureSpec, exact_grid, sphere_points
 from .su2 import (
     EIGENVALUE_CLAMP,
     DensityMatrix,
@@ -33,13 +34,14 @@ from .su2 import (
 )
 
 MAX_N_THETA = 4096
-#: Largest number of bytes one quadrature level may allocate (`_level_bytes`).
+#: Largest number of bytes one quadrature level (`_level_bytes`), exact-route
+#: chunk (`_exact_bytes`) or projection band (`channels`) may allocate.
 MAX_GRID_BYTES = 512 * 2 ** 20
 #: Largest max |f - K prod_i (1 - n.z_i)/2| on the exact grid that keeps a
 #: pure state on the root formula; beyond it the state takes the quadrature.
 EXACT_RESIDUAL_TOL = 1e-10
-#: Rows per `_exact_wehrl` call in `wehrl_pure_batch`; each row holds a few
-#: (2l, (2l+1)(4l+1)) float arrays, about 52 KB at twice_l = 8.
+#: Most rows per `_exact_wehrl` call in `wehrl_pure_batch`, fewer where
+#: MAX_GRID_BYTES allows fewer (`_exact_bytes`).
 _WEHRL_CHUNK = 256
 #: Most multiply-adds `renyi_wehrl_projector` may spend on its polynomial
 #: power, about a second on a 2-CPU desk machine.
@@ -101,11 +103,10 @@ def povm_entropy(rho: DensityMatrix, effects) -> float:
 
 def _level_bytes(l: SpinLabel, spec: QuadratureSpec) -> int:
     """Bytes one `_husimi_rings` level allocates, at most: per ring, the
-    Gauss-Legendre companion row that builds an uncached radial table, the
     (d, d) radial pairs, the coefficients with their temporaries and the
     n_phi real Husimi values; once, the (d, d) index and diagonal arrays."""
     d = l.dim
-    return 8 * (spec.n_theta * (spec.n_theta + d * d + 16 * d + spec.n_phi) + 10 * d * d)
+    return 8 * (spec.n_theta * (d * d + 16 * d + spec.n_phi) + 10 * d * d)
 
 
 def _husimi_rings(rho: DensityMatrix, spec: QuadratureSpec):
@@ -147,9 +148,9 @@ def wehrl_fixed(rho: DensityMatrix, spec: QuadratureSpec) -> float:
     return float(-rho.spin.dim * (w_theta @ xlogy(f, f, out=f).sum(axis=1)) / spec.n_phi)
 
 
-def starting_spec(twice_l: int, tol: float = QuadratureSpec.tol) -> QuadratureSpec:
+def starting_spec(twice_l: int) -> QuadratureSpec:
     """First level of the adaptive Wehrl quadrature for spin twice_l/2."""
-    return QuadratureSpec(max(32, 2 * twice_l + 2), max(64, 4 * twice_l + 4), tol)
+    return QuadratureSpec(max(32, 2 * twice_l + 2), max(64, 4 * twice_l + 4))
 
 
 def wehrl(rho: DensityMatrix, spec: QuadratureSpec | None = None) -> float:
@@ -183,12 +184,14 @@ def wehrl_pure_batch(l: SpinLabel, amplitudes: np.ndarray,
     lambda_k (2k+1) P_k(t), lambda_0 = -1, lambda_k = -1/(k(k+1)). The degree-4l
     integrand is exact on the (2l+1) x (4l+1) grid, where K normalizes the
     product. A state whose product misses f there by EXACT_RESIDUAL_TOL or
-    more takes `wehrl(rho, spec)` instead. Rows go _WEHRL_CHUNK at a time,
-    so memory does not grow with their number."""
+    more takes `wehrl(rho, spec)` instead. Rows go in chunks of at most
+    _WEHRL_CHUNK that stay within MAX_GRID_BYTES, whatever their number."""
     amplitudes = np.asarray(amplitudes, dtype=complex)
     values = np.empty(len(amplitudes))
-    for start in range(0, len(amplitudes), _WEHRL_CHUNK):
-        values[start:start + _WEHRL_CHUNK] = _exact_wehrl(l, amplitudes[start:start + _WEHRL_CHUNK], spec)[0]
+    grid, row = _exact_bytes(l)
+    chunk = min(_WEHRL_CHUNK, max(1, (MAX_GRID_BYTES - grid) // row))
+    for start in range(0, len(amplitudes), chunk):
+        values[start:start + chunk] = _exact_wehrl(l, amplitudes[start:start + chunk], spec)[0]
     return values
 
 
@@ -205,16 +208,41 @@ def wehrl_pure_gradient(l: SpinLabel, v) -> tuple[float, np.ndarray]:
     return float(values[0]), grad
 
 
+def _exact_bytes(l: SpinLabel) -> tuple[int, int]:
+    """Bytes `_exact_wehrl` allocates at most, for the exact grid with its
+    build temporaries, and per row: a, f and residual terms per node, and the
+    (2l, nodes) arrays of the zeros' products and Legendre kernel."""
+    nodes = (l.twice_l + 1) * (2 * l.twice_l + 1)
+    return 8 * nodes * (2 * l.dim + 10), 8 * nodes * (16 + 6 * l.twice_l)
+
+
+@lru_cache(maxsize=32)
+def _exact_grid(l: SpinLabel):
+    """Amplitudes V, weights w and unit vectors of the nodes of the exact
+    grid of spin l; cached per spin, read-only."""
+    spec = exact_grid(l.twice_l)
+    V, w = amplitude_grid(l, spec)
+    points = sphere_points(spec)
+    for x in (V, w, points):
+        x.flags.writeable = False
+    return V, w, points
+
+
 def _exact_wehrl(l: SpinLabel, amplitudes: np.ndarray, spec: QuadratureSpec | None):
     """Entropies of the rows v of `amplitudes`, any norm, by the root formula
     of `wehrl_pure_batch` with its quadrature fallback, and the terms of
-    `wehrl_pure_gradient`: the (2l+1) x (4l+1) grid's amplitudes V and weights
-    w, and per row and node a = V* v, f = |a|^2 / |v|^2 and ln K + sum_i G(n.z_i)."""
-    exact = QuadratureSpec(l.twice_l + 1, 2 * l.twice_l + 1)
-    V, w = amplitude_grid(l, exact)
-    a = np.einsum("sj,nj->sn", amplitudes, V.conj())
+    `wehrl_pure_gradient`: the exact grid's amplitudes V and weights w, and
+    per row and node a = V* v, f = |a|^2 / |v|^2 and ln K + sum_i G(n.z_i).
+    ResourceGuardError, before the grid is built, when the grid and the rows
+    need more than MAX_GRID_BYTES."""
+    grid, row = _exact_bytes(l)
+    if (need := grid + len(amplitudes) * row) > MAX_GRID_BYTES:
+        raise ResourceGuardError(f"exact Wehrl grid at twice_l={l.twice_l} needs {need} bytes, "
+                                 f"over the {MAX_GRID_BYTES}-byte guard")
+    V, w, points = _exact_grid(l)
+    a = np.einsum("sj,nj->sn", amplitudes.conj(), V).conj()
     f = (a.real ** 2 + a.imag ** 2) / np.einsum("sj,sj->s", amplitudes.conj(), amplitudes).real[:, None]
-    t = husimi_zeros(l, amplitudes) @ sphere_points(exact).T  # (states, 2l, nodes)
+    t = husimi_zeros(l, amplitudes) @ points.T  # (states, 2l, nodes)
     product = np.prod((1 - t) / 2, axis=1)
     K = 1 / (l.dim * product @ w)
     residual = np.max(np.abs(f - K[:, None] * product), axis=1)
@@ -264,16 +292,12 @@ def wehrl_closed(spin: SpinLabel, chordal: ChordalData) -> float:
     raise ValueError(f"closed form only available for spin 1 and 3/2, got l={spin.l}")
 
 
-def renyi_wehrl_moment(rho: DensityMatrix, n: int, spec: QuadratureSpec) -> float:
+def renyi_wehrl_moment(rho: DensityMatrix, n: int, spec: QuadratureSpec | None = None) -> float:
     """Moment M_n = (2l+1) \\int dOmega/4pi rho(Omega)^n on the Husimi rings
-    of `spec`, exact when the quadrature resolves the degree-4ln integrand."""
+    of `spec`, checked by `exact_grid(2l, n, spec)`, which is also the default."""
     if n < 1:
         raise ValueError("Renyi order must be a positive integer")
-    tl = rho.spin.twice_l
-    if spec.n_theta < tl * n + 1 or spec.n_phi < 2 * tl * n + 1:
-        raise QuadratureOrderError(
-            f"need n_theta >= {tl * n + 1}, n_phi >= {2 * tl * n + 1} for twice_l={tl}, n={n}"
-        )
+    spec = exact_grid(rho.spin.twice_l, n, spec)
     f, w_theta = _husimi_rings(rho, spec)
     return float(rho.spin.dim * (w_theta @ np.power(f, n, out=f).sum(axis=1)) / spec.n_phi)
 

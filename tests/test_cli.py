@@ -293,6 +293,24 @@ def test_error_exit_codes(argv, code, patch, monkeypatch, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("twice_l,which,patch,message", [
+    # the exact Wehrl grid at twice_l = 1000 would take 30 GiB
+    (1000, "wehrl", (entropy, "amplitude_grid"), "exact Wehrl grid"),
+    # the band table at j = 100 would take 27 GiB
+    (1000, "projection:100", (channels, "_band_weights"), "projection band"),
+    # j = 1000 is refused by the limit figure-projection and the optimizer share
+    (1000, "projection:1000", (channels, "_band_weights"), "j <= 100"),
+    (400, "projection:1000", (channels, "_band_weights"), "j <= 100"),
+])
+def test_entropy_guards_fire_before_allocation(twice_l, which, patch, message, tmp_path, monkeypatch, capsys):
+    path = write_json_state(tmp_path / "big.json", random_pure(SpinLabel(twice_l), np.random.default_rng(0)))
+    monkeypatch.setattr(*patch, _not_before_guard)
+    assert main(["entropy", "--state", path, "--which", which]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert message in err
+
+
 def test_parser_is_built_once_and_reused(capsys, monkeypatch):
     calls = [
         ["sun", "--modes", "3", "--bosons", "2", "--copies", "2", "--mode", "majorize",

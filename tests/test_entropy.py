@@ -157,8 +157,7 @@ def test_exact_wehrl_fallback_is_the_quadrature(monkeypatch):
 def test_wehrl_byte_guard_fires_before_allocation(monkeypatch):
     # rank 1: a full-rank Ginibre state has a Husimi function bounded away
     # from 0, whose levels agree exactly once rounding dominates. A 16 MiB
-    # guard stops the doubling before 1024 x 2048 here, far below MAX_N_THETA,
-    # whose 4096-node Gauss-Legendre rule alone takes seconds to build
+    # guard stops the doubling before 1024 x 2048 here, far below MAX_N_THETA
     rng = np.random.default_rng(23)
     spin = SpinLabel(8)
     rho = random_density(spin, rng, rank=1)
@@ -178,6 +177,49 @@ def test_wehrl_byte_guard_fires_before_allocation(monkeypatch):
     assert requested[-1].doubled().n_theta <= entropy.MAX_N_THETA
     assert err.value.last_spec == requested[-1]
     assert np.isfinite(err.value.last_difference)
+
+
+def test_wehrl_batch_chunks_within_the_byte_guard(monkeypatch):
+    rng = np.random.default_rng(24)
+    spin = SpinLabel(8)
+    amps = np.array([random_pure(spin, rng).amplitudes for _ in range(16)])
+    rows = []
+    exact = entropy._exact_wehrl
+
+    def recording_exact(l, amplitudes, spec):
+        rows.append(len(amplitudes))
+        return exact(l, amplitudes, spec)
+
+    monkeypatch.setattr(entropy, "_exact_wehrl", recording_exact)
+    whole = wehrl_pure_batch(spin, amps)
+    assert rows == [16]  # the benchmark's largest batch stays one chunk
+    grid, row = entropy._exact_bytes(spin)
+    monkeypatch.setattr(entropy, "MAX_GRID_BYTES", grid + 5 * row)
+    rows.clear()
+    assert np.max(np.abs(wehrl_pure_batch(spin, amps) - whole)) < 1e-14
+    assert rows == [5, 5, 5, 1]
+    monkeypatch.setattr(entropy, "MAX_GRID_BYTES", grid + row - 1)
+    with pytest.raises(ResourceGuardError):
+        wehrl_pure_batch(spin, amps)
+
+
+@pytest.mark.parametrize("tl,rows", [(4, 1), (8, 16), (16, 64), (32, 16)])
+def test_exact_wehrl_peak_within_guard_estimate(tl, rows):
+    # the bytes the guard checks bound the traced peak of a cold call: the
+    # exact grid's build and every row's temporaries
+    rng = np.random.default_rng(25)
+    spin = SpinLabel(tl)
+    amps = np.array([random_pure(spin, rng).amplitudes for _ in range(rows)])
+    wehrl_pure_batch(SpinLabel(3), amps[:1, :4])  # first-call set-up outside the measurement
+    entropy._exact_grid.cache_clear()
+    tracemalloc.start()
+    try:
+        wehrl_pure_batch(spin, amps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    grid, row = entropy._exact_bytes(spin)
+    assert peak <= grid + rows * row, peak / (grid + rows * row)
 
 
 def test_mixed_state_wehrl_value():
@@ -418,6 +460,12 @@ def test_renyi_moment_coherent_value():
         expected = (tl + 1.0) / (tl * n + 1.0)
         assert renyi_wehrl_moment(rho, n, exact_spec(tl, n)) == pytest.approx(expected, abs=1e-12)
         assert renyi_wehrl_projector(rho, n) == pytest.approx(expected, abs=1e-12)
+
+
+def test_renyi_moment_defaults_to_the_exact_grid():
+    rho = random_density(SpinLabel(5), np.random.default_rng(26))
+    for n in (1, 2, 4):
+        assert renyi_wehrl_moment(rho, n) == renyi_wehrl_moment(rho, n, QuadratureSpec(5 * n + 1, 10 * n + 1))
 
 
 def test_renyi_moment_quadrature_guard():

@@ -20,6 +20,16 @@ def test_exact_for_low_degree_harmonics():
     assert np.sum(w_theta[:, None] * w_phi * grid) == pytest.approx(0.0, abs=1e-14)
 
 
+@pytest.mark.parametrize("n", [1, 2, 17, 64, 1024])
+def test_nodes_match_leggauss(n):
+    # numpy's companion-matrix rule, kept as the oracle: it takes O(n^2)
+    # memory and O(n^3) time, against O(n) for the rule the package builds
+    thetas, _, w_theta, _ = sphere_nodes(QuadratureSpec(n, 1))
+    u, w = np.polynomial.legendre.leggauss(n)
+    assert np.max(np.abs(np.cos(thetas) - u)) < 1e-15
+    assert np.max(np.abs(w_theta - w / 2)) < 1e-13
+
+
 def test_sphere_points_follow_the_weights():
     # theta-major unit vectors; the weighted mean of z^2 is 1/3, of x and y 0
     spec = QuadratureSpec(4, 8)
