@@ -38,8 +38,9 @@ TENSOR_DIM_GUARD = 40_000
 #: Largest twice_j (j <= 100) that figure-projection and the optimizer accept;
 #: the CLI checks it before sampling.
 MAX_PROJECTION_TWICE_J = 200
-#: States per band assembly in `projection_entropy_batch`, which bounds its
-#: memory at any number of states.
+#: Most states per band assembly in `projection_entropy_batch`, fewer where
+#: MAX_GRID_BYTES allows fewer (`_band_bytes`), which bounds its memory at
+#: any number of states.
 _BAND_CHUNK = 256
 
 
@@ -107,31 +108,44 @@ def _band_weights(l: SpinLabel, j: SpinLabel) -> np.ndarray:
     return C
 
 
+def _band_bytes(l: SpinLabel, j: SpinLabel) -> tuple[int, int]:
+    """Bytes `projection_output_band` allocates at most, for the weights and
+    per state: `_band_weights` holds up to seven (d, d, D) 8-byte arrays at
+    its peak (index grids, gathered indices, weights), a state's band about
+    eight (d, D)."""
+    d, D = l.dim, l.dim + j.twice_l
+    return 8 * 7 * d * d * D, 8 * 8 * d * D
+
+
 def projection_output_band(l: SpinLabel, j: SpinLabel, rhos: np.ndarray) -> np.ndarray:
     """Lower band of the projection-channel output for a stack of (2l+1)^2
     density matrices, shape (..., 2l+1, 2(l+j)+1): entry k of column c is
     out[c+k, c] = (2l+1)/(2(l+j)+1) sum_a rho[a+k, a] T[a+k, c-a] T[a, c-a]
     for the stretched table T, and out is zero beyond k = 2l. O(l^2 j) per
     state, with no dense output or dual factor. ResourceGuardError, before
-    the weights are built, when one state needs more than MAX_GRID_BYTES:
-    `_band_weights` holds up to seven (d, d, D) 8-byte arrays at its peak
-    (index grids, gathered indices, weights), the band about eight (d, D)."""
-    d, D = l.dim, l.dim + j.twice_l
-    if (need := 8 * d * D * (7 * d + 8)) > MAX_GRID_BYTES:
+    the weights are built, when the weights and the stack's states need more
+    than MAX_GRID_BYTES (`_band_bytes`)."""
+    rhos, d = np.asarray(rhos), l.dim
+    table, state = _band_bytes(l, j)
+    if (need := table + rhos.size // (d * d) * state) > MAX_GRID_BYTES:
         raise ResourceGuardError(f"projection band at twice_l={l.twice_l}, twice_j={j.twice_l} needs "
                                  f"{need} bytes, over the {MAX_GRID_BYTES}-byte guard")
     k, a = np.indices((d, d))
-    diagonals = np.asarray(rhos)[..., np.minimum(a + k, d - 1), a]  # rho[a+k, a]; C is 0 past the edge
+    diagonals = rhos[..., np.minimum(a + k, d - 1), a]  # rho[a+k, a]; C is 0 past the edge
     return np.einsum("...ka,kac->...kc", diagonals, _band_weights(l, j))
 
 
 def projection_entropy_batch(l: SpinLabel, j: SpinLabel, rhos: np.ndarray) -> np.ndarray:
     """Projection entropies of a stack of (2l+1)^2 density matrices, shape
-    (states, 2l+1, 2l+1): one banded eigensolve of each output band."""
+    (states, 2l+1, 2l+1): one banded eigensolve of each output band. States
+    go in chunks of at most _BAND_CHUNK whose bands, with the weights, stay
+    within MAX_GRID_BYTES."""
     rhos = np.asarray(rhos)
     values = np.empty(len(rhos))
-    for start in range(0, len(rhos), _BAND_CHUNK):
-        bands = projection_output_band(l, j, rhos[start:start + _BAND_CHUNK])
+    table, state = _band_bytes(l, j)
+    chunk = min(_BAND_CHUNK, max(1, (MAX_GRID_BYTES - table) // state))
+    for start in range(0, len(rhos), chunk):
+        bands = projection_output_band(l, j, rhos[start:start + chunk])
         for i, band in enumerate(bands, start):
             values[i] = entropy_of_spectrum(clamp_eigenvalues(eigvals_banded(band, lower=True)))
     return values

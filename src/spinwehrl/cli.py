@@ -22,9 +22,10 @@ Exit codes, each failure with a one-line message on stderr:
   twice_l <= 8 and j <= 100, the optimizer's twice_l <= 16 and projection
   j <= 100, entropy's projection j <= 100, tensor dimensions, the output
   dimension dim H(N, M+k) <= 10000 that every ``sun`` mode holds, and the
-  byte guards of the exact Wehrl grid, a projection band and a Renyi
-  quadrature level), a Wehrl quadrature that did not converge within its
-  grid limit, or a measure-and-prepare decomposition above its residual
+  byte guards of the exact Wehrl grid, a projection band, a Renyi
+  quadrature level and the cloning gather table of ``sun`` prepare,
+  decompose and majorize), a Wehrl quadrature that did not converge within
+  its grid limit, or a measure-and-prepare decomposition above its residual
   threshold.
 
 State files are either JSON ``{"twice_l": int, "amplitudes": [[re, im], ...]}``
@@ -357,7 +358,7 @@ def cmd_sun(args) -> int:
             code = 2
     else:
         raise CliError(f"unknown sun mode {args.mode!r}")
-    _report(args, "sun", args.seed, {"eps": 1e-9}, results, t0)
+    _report(args, "sun", args.seed, {"eps": fock.MAJORIZATION_EPS}, results, t0)
     return code
 
 

@@ -184,14 +184,17 @@ def wehrl_pure_batch(l: SpinLabel, amplitudes: np.ndarray,
     lambda_k (2k+1) P_k(t), lambda_0 = -1, lambda_k = -1/(k(k+1)). The degree-4l
     integrand is exact on the (2l+1) x (4l+1) grid, where K normalizes the
     product. A state whose product misses f there by EXACT_RESIDUAL_TOL or
-    more takes `wehrl(rho, spec)` instead. Rows go in chunks of at most
-    _WEHRL_CHUNK that stay within MAX_GRID_BYTES, whatever their number."""
+    more takes `wehrl(rho, spec)` instead, once every chunk's arrays are
+    released. Rows go in chunks of at most _WEHRL_CHUNK that stay within
+    MAX_GRID_BYTES, whatever their number."""
     amplitudes = np.asarray(amplitudes, dtype=complex)
     values = np.empty(len(amplitudes))
     grid, row = _exact_bytes(l)
     chunk = min(_WEHRL_CHUNK, max(1, (MAX_GRID_BYTES - grid) // row))
     for start in range(0, len(amplitudes), chunk):
-        values[start:start + chunk] = _exact_wehrl(l, amplitudes[start:start + chunk], spec)[0]
+        values[start:start + chunk] = _exact_wehrl(l, amplitudes[start:start + chunk])[0]
+    for i in np.flatnonzero(np.isnan(values)):
+        values[i] = wehrl(PureState(l, amplitudes[i], normalize=True).density(), spec)
     return values
 
 
@@ -202,9 +205,11 @@ def wehrl_pure_gradient(l: SpinLabel, v) -> tuple[float, np.ndarray]:
     `wehrl_pure_batch`, each integrand has degree <= 4l and is exact on the
     same grid; a quadrature fallback value keeps the root formula's gradient."""
     v = np.asarray(v, dtype=complex)
-    values, V, w, a, f, log_f = _exact_wehrl(l, v[None], None)
+    values, V, w, a, f, log_f = _exact_wehrl(l, v[None])
     c = w * (1 + log_f[0])
     grad = -(l.dim / np.vdot(v, v).real) * (np.einsum("n,ni->i", c * a[0], V) - v * (c @ f[0]))
+    if np.isnan(values[0]):
+        values[0] = wehrl(PureState(l, v, normalize=True).density())
     return float(values[0]), grad
 
 
@@ -228,13 +233,13 @@ def _exact_grid(l: SpinLabel):
     return V, w, points
 
 
-def _exact_wehrl(l: SpinLabel, amplitudes: np.ndarray, spec: QuadratureSpec | None):
+def _exact_wehrl(l: SpinLabel, amplitudes: np.ndarray):
     """Entropies of the rows v of `amplitudes`, any norm, by the root formula
-    of `wehrl_pure_batch` with its quadrature fallback, and the terms of
-    `wehrl_pure_gradient`: the exact grid's amplitudes V and weights w, and
-    per row and node a = V* v, f = |a|^2 / |v|^2 and ln K + sum_i G(n.z_i).
-    ResourceGuardError, before the grid is built, when the grid and the rows
-    need more than MAX_GRID_BYTES."""
+    of `wehrl_pure_batch`, NaN for a row that needs its quadrature fallback,
+    and the terms of `wehrl_pure_gradient`: the exact grid's amplitudes V and
+    weights w, and per row and node a = V* v, f = |a|^2 / |v|^2 and
+    ln K + sum_i G(n.z_i). ResourceGuardError, before the grid is built, when
+    the grid and the rows need more than MAX_GRID_BYTES."""
     grid, row = _exact_bytes(l)
     if (need := grid + len(amplitudes) * row) > MAX_GRID_BYTES:
         raise ResourceGuardError(f"exact Wehrl grid at twice_l={l.twice_l} needs {need} bytes, "
@@ -250,8 +255,7 @@ def _exact_wehrl(l: SpinLabel, amplitudes: np.ndarray, spec: QuadratureSpec | No
     kernel = -(2 * k + 1) / np.maximum(k * (k + 1), 1)  # lambda_k (2k+1)
     log_f = np.log(K)[:, None] + np.polynomial.legendre.legval(t, kernel).sum(axis=1)
     values = -l.dim * np.einsum("sn,sn,n->s", f, log_f, w)
-    for i in np.flatnonzero(~(residual < EXACT_RESIDUAL_TOL)):
-        values[i] = wehrl(PureState(l, amplitudes[i], normalize=True).density(), spec)
+    values[~(residual < EXACT_RESIDUAL_TOL)] = np.nan
     return values, V, w, a, f, log_f
 
 

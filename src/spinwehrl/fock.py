@@ -11,7 +11,9 @@ states, or stacks of them, the majorization spectra, the measure-and-prepare
 channel and the decomposition check's reduced densities are each one Gram
 matrix of images gathered from these tables. The coherent condensate's cloning
 spectrum and the coefficients of the measure-and-prepare decomposition into
-cloning channels are closed-form. The dense Kraus sum and symmetric isometry,
+cloning channels are closed-form. No factor of a weight that can exceed 1 is
+formed as a float: scalars are ratios of exact integers, and arrays are
+differences of `su2.log_factorials`. The dense Kraus sum and symmetric isometry,
 the per-sample SVD, the per-entry reduced-density trace and the least-squares
 fit of the decomposition are the test oracles.
 """
@@ -20,14 +22,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial, perm, prod, sqrt
+from math import comb, perm
 
 import numpy as np
+from scipy.special import xlogy
 
-from .entropy import clamped_spectrum
+from .entropy import MAX_GRID_BYTES, clamped_spectrum
 from .errors import DecompositionError, ResourceGuardError
+from .su2 import log_factorials
 
 CLONING_DIM_GUARD = 10_000
+#: Peak bytes of `_cloning_gather` per (Kraus operator, output state) entry;
+#: tracemalloc measured 25-29 B on cold tables of a million entries or more.
+_GATHER_ENTRY_BYTES = 32
+#: Prefix-sum excess over the coherent spectrum that is not a violation.
+MAJORIZATION_EPS = 1e-9
 #: Largest stack of gathered images, in bytes, per chunk of `_state_chunks`.
 _CHUNK_BYTES = 4 * 2 ** 20
 
@@ -93,20 +102,36 @@ def _cloning_output_space(n_modes: int, n_bosons: int, k: int) -> SymmetricSpace
 
 @lru_cache(maxsize=None)
 def _cloning_gather(n_modes: int, n_bosons: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Kraus operators K_mu = sqrt(k!/mu!) (a*)^mu / sqrt(s) of the k-copy
-    cloning channel H(N, M) -> H(N, M+k) as a gather table (src, w), both
-    (n_kraus, dim_out), cached and read-only: row r (occupation m) of K_mu
-    holds w[mu, r] = sqrt(prod_i C(m_i, mu_i) / C(M+N-1+k, k)) in column
-    src[mu, r], the index of m - mu; w = 0 and src = 0 where m - mu < 0.
-    The output guard is checked before anything is built."""
+    """Kraus operators K_mu = sqrt(k!/mu!) (a*)^mu / sqrt(k! C(M+N-1+k, k))
+    of the k-copy cloning channel H(N, M) -> H(N, M+k) as a gather table
+    (src, w), both (n_kraus, dim_out), cached and read-only: row r
+    (occupation m) of K_mu holds w[mu, r] = exp(1/2 sum_i ln C(m_i, mu_i)
+    - 1/2 ln C(M+N-1+k, k)) in column src[mu, r], the index of m - mu; w = 0
+    and src = 0 where m - mu < 0. Adding mu keeps the basis order, so the
+    valid columns of each row hold H(N, M) in order. The output guard and
+    the table's byte guard are checked before anything is built."""
     out = _cloning_output_space(n_modes, n_bosons, k)
+    n_kraus = comb(k + n_modes - 1, k)
+    if (need := _GATHER_ENTRY_BYTES * n_kraus * out.dim) > MAX_GRID_BYTES:
+        raise ResourceGuardError(f"cloning gather table at (N, M, k) = ({n_modes}, {n_bosons}, {k}) needs "
+                                 f"{need} bytes, over the {MAX_GRID_BYTES}-byte guard")
+    top = n_bosons + n_modes - 1 + k
+    lg = log_factorials(top)
     occ = np.array(out.basis).reshape(out.dim, n_modes)
-    mu = np.array(_occupation_basis(n_modes, k)).reshape(-1, 1, n_modes)
-    binom = np.array([[comb(m, j) for j in range(k + 1)] for m in range(n_bosons + k + 1)], dtype=float)
-    w = np.sqrt(np.prod(binom[occ, mu], axis=-1) / comb(n_bosons + n_modes - 1 + k, k))
-    valid = w > 0
+    mu = np.array(_occupation_basis(n_modes, k)).reshape(n_kraus, n_modes)
+    log_w = np.full((n_kraus, out.dim), lg[k] + lg[top - k] - lg[top])
+    valid = np.ones(log_w.shape, dtype=bool)
+    for m_i, mu_i in zip(occ.T, mu.T):  # + ln C(m_i, mu_i), one mode at a time
+        rest = m_i - mu_i[:, None]
+        valid &= rest >= 0
+        log_w += lg[m_i]
+        log_w -= lg[mu_i][:, None]
+        log_w -= lg[np.maximum(rest, 0, out=rest)]
+    log_w[~valid] = -np.inf
+    log_w *= 0.5
+    w = np.exp(log_w, out=log_w)
     src = np.zeros(w.shape, dtype=np.intp)
-    src[valid] = _occupation_rank((occ - mu)[valid], n_bosons)
+    src[valid] = np.tile(np.arange(SymmetricSpace(n_modes, n_bosons).dim), n_kraus)
     src.setflags(write=False)
     w.setflags(write=False)
     return src, w
@@ -117,15 +142,13 @@ def coherent_condensate(space: SymmetricSpace, omega) -> np.ndarray:
     omega = np.asarray(omega, dtype=complex)
     if omega.shape != (space.n_modes,):
         raise ValueError(f"direction vector must have {space.n_modes} components")
-    norm = np.linalg.norm(omega)
-    if norm == 0:
+    if not omega.any():
         raise ValueError("zero direction vector")
-    omega = omega / norm
-    M = space.n_bosons
-    amps = np.array([
-        sqrt(factorial(M) / prod(factorial(n) for n in occ)) * prod(w ** n for w, n in zip(omega, occ))
-        for occ in space.basis
-    ])
+    occ = np.array(space.basis).reshape(space.dim, space.n_modes)
+    # ln of sqrt(M! / prod_i n_i!) prod_i |omega_i|^n_i with 0 ln 0 = 0, less
+    # ln sqrt(M!) and the maximum, which the normalization restores
+    log_amps = xlogy(occ, np.abs(omega)).sum(axis=1) - 0.5 * log_factorials(space.n_bosons)[occ].sum(axis=1)
+    amps = np.exp(log_amps - log_amps.max()) * np.exp(1j * (occ @ np.angle(omega)))
     return amps / np.linalg.norm(amps)
 
 
@@ -134,13 +157,6 @@ class FockChannelOutput:
     space_out: SymmetricSpace
     matrix: np.ndarray
     spectrum: np.ndarray
-
-
-def cloning_normalization(n_modes: int, n_bosons: int, k: int) -> float:
-    """Scalar s with sum K^dag K = s * identity for the Kraus family
-    sqrt(k!/mu!) (a*)^mu, one operator per occupation mu of the k new bosons:
-    s = k! C(M+N-1+k, k)."""
-    return float(factorial(k) * comb(n_bosons + n_modes - 1 + k, k))
 
 
 def apply_cloning(space: SymmetricSpace, mat: np.ndarray, k: int) -> np.ndarray:
@@ -160,9 +176,10 @@ def coherent_cloning_spectrum(n_modes: int, n_bosons: int, k: int) -> np.ndarray
     diagonal with eigenvalue C(M + mu_0, mu_0) / C(M+N-1+k, k) per mu, that is
     with multiplicity C(k - mu_0 + N - 2, N - 2)."""
     out = _cloning_output_space(n_modes, n_bosons, k)
-    values = [comb(n_bosons + mu[0], mu[0]) for mu in _occupation_basis(n_modes, k)]
+    total = comb(n_bosons + n_modes - 1 + k, k)
+    values = [comb(n_bosons + mu[0], mu[0]) / total for mu in _occupation_basis(n_modes, k)]
     spectrum = np.zeros(out.dim)
-    spectrum[:len(values)] = np.array(values, dtype=float) / comb(n_bosons + n_modes - 1 + k, k)
+    spectrum[:len(values)] = values
     return spectrum
 
 
@@ -177,15 +194,17 @@ def cloning_channel(space: SymmetricSpace, rho: np.ndarray, k: int) -> FockChann
 
 @lru_cache(maxsize=None)
 def _annihilation_gather(n_modes: int, n_bosons: int, ell: int) -> tuple[np.ndarray, np.ndarray]:
-    """S_mu = sqrt(ell!/mu!) a^mu : H(N, M) -> H(N, M - ell), one per occupation
-    mu of ell bosons, as a cached, read-only gather pair (up, c), both
-    (n_mu, dim_low): row x of S_mu holds c[mu, x] in column up[mu, x], the
-    index of x + mu. S_mu is K_mu^T for the ell-copy cloning of H(N, M - ell)
-    without its 1/sqrt(s); adding mu keeps the basis order, so up[mu] lists
-    the columns where that K_mu's gather weight is nonzero, in order."""
-    w = _cloning_gather(n_modes, n_bosons - ell, ell)[1]
-    up = np.nonzero(w)[1].reshape(len(w), -1)
-    c = w[w > 0].reshape(len(w), -1) * sqrt(cloning_normalization(n_modes, n_bosons - ell, ell))
+    """S_mu = sqrt(ell!/mu!) a^mu / sqrt(ell! C(M+N-1, ell)) : H(N, M) ->
+    H(N, M - ell), one per occupation mu of ell bosons, as a cached, read-only
+    gather pair (up, c), both (n_mu, dim_low): row x of S_mu holds c[mu, x] in
+    column up[mu, x], the index of x + mu. S_mu is K_mu^T for the ell-copy
+    cloning of H(N, M - ell), so c holds that gather table's weights."""
+    low = n_bosons - ell
+    w = _cloning_gather(n_modes, low, ell)[1]
+    x = np.array(_occupation_basis(n_modes, low)).reshape(1, -1, n_modes)
+    mu = np.array(_occupation_basis(n_modes, ell)).reshape(-1, 1, n_modes)
+    up = _occupation_rank((x + mu).reshape(-1, n_modes), n_bosons).reshape(len(w), -1)
+    c = np.take_along_axis(w, up, axis=1)
     up.setflags(write=False)
     c.setflags(write=False)
     return up, c
@@ -194,8 +213,9 @@ def _annihilation_gather(n_modes: int, n_bosons: int, ell: int) -> tuple[np.ndar
 def reduced_density(space: SymmetricSpace, rho: np.ndarray, ell: int) -> np.ndarray:
     """gamma^ell(rho) on H(N, ell) from normal-ordered expectations,
     gamma_{mu nu} = tr(S_mu rho S_nu^T) = sum_x c_mu(x) c_nu(x)
-    rho[up_mu(x), up_nu(x)] over `_annihilation_gather`; dim H(N, M) is held
-    to CLONING_DIM_GUARD.
+    rho[up_mu(x), up_nu(x)] over `_annihilation_gather`, times the scale
+    ell! C(M+N-1, ell) that its weights leave out; dim H(N, M) is held to
+    CLONING_DIM_GUARD.
 
     Normalized so that gamma^ell of a coherent condensate equals
     M!/(M-ell)! |Omega_ell><Omega_ell|; trace is M!/(M-ell)! * tr(rho).
@@ -203,7 +223,8 @@ def reduced_density(space: SymmetricSpace, rho: np.ndarray, ell: int) -> np.ndar
     if ell < 0 or ell > space.n_bosons:
         raise ValueError(f"need 0 <= ell <= {space.n_bosons}, got {ell}")
     up, c = _annihilation_gather(space.n_modes, space.n_bosons, ell)
-    return np.einsum("ix,jx,ijx->ij", c, c, np.asarray(rho)[up[:, None], up[None]])
+    gram = np.einsum("ix,jx,ijx->ij", c, c, np.asarray(rho)[up[:, None], up[None]])
+    return perm(space.n_bosons + space.n_modes - 1, ell) * gram
 
 
 def _image_gram(psi: np.ndarray, src: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -248,20 +269,27 @@ def decompose_measure_prepare(n_modes: int, m_bosons: int, k: int,
     closed form: Wick-ordering the entries a^nu (a*)^mu of the Gram matrix
     <K_nu psi, K_mu psi> gives C_l proportional to C(k+N-1, l)/(k-l)!, and 0
     where k-l > M (more removals than bosons). gamma^(k-l) has trace
-    M!/(M-k+l)!, so the trace rule sum_l C_l M!/(M-k+l)! = 1 fixes the
-    constant. residual is max |sum_l C_l Phi^l(gamma^(k-l)) - MP| over a batch
-    of random pure states; DecompositionError when it exceeds 1e-9."""
+    M!/(M-k+l)!, and the weights p_l = C_l M!/(M-k+l)! are the hypergeometric
+    distribution C(k+N-1, l) C(M, k-l) / C(M+N-1+k, k), which sums to 1 by
+    Vandermonde's identity; each is a ratio of exact integers. residual is
+    max |sum_l C_l Phi^l(gamma^(k-l)) - MP| over a batch of random pure
+    states, where C_l gamma^(k-l) is q_l = C(k+N-1, l) C(M+N-1, k-l) /
+    C(M+N-1+k, k) times the Gram matrix of the annihilation table's weights;
+    DecompositionError when it exceeds 1e-9."""
     space = SymmetricSpace(n_modes, m_bosons)
-    raw = np.array([comb(k + n_modes - 1, ell) / factorial(k - ell) if k - ell <= m_bosons else 0.0
-                    for ell in range(k + 1)])
-    coefs = raw / sum(c * perm(m_bosons, k - ell) for ell, c in enumerate(raw))
+    total = comb(m_bosons + n_modes - 1 + k, k)
+    ells = range(max(k - m_bosons, 0), k + 1)
+    coefs = np.zeros(k + 1)
+    for ell in ells:
+        coefs[ell] = comb(k + n_modes - 1, ell) * comb(m_bosons, k - ell) / (total * perm(m_bosons, k - ell))
     src = _cloning_gather(n_modes, m_bosons, k)[0]
     residual = 0.0
     for psi in _state_chunks(space.dim, max(batch, 1), seed, src.size):
         # gamma^(k-l)(psi psi^dag) straight from the amplitudes, then Phi^l
-        fit = sum(c * apply_cloning(SymmetricSpace(n_modes, k - ell),
-                                    _image_gram(psi, *_annihilation_gather(n_modes, m_bosons, k - ell)), ell)
-                  for ell, c in enumerate(coefs) if c)
+        fit = sum(comb(k + n_modes - 1, ell) * comb(m_bosons + n_modes - 1, k - ell) / total
+                  * apply_cloning(SymmetricSpace(n_modes, k - ell),
+                                  _image_gram(psi, *_annihilation_gather(n_modes, m_bosons, k - ell)), ell)
+                  for ell in ells)
         residual = max(residual, float(np.max(np.abs(fit - measure_prepare_channel(space, psi, k)))))
     if residual > 1e-9:
         raise DecompositionError(f"decomposition residual {residual} exceeds 1e-9")
@@ -278,7 +306,7 @@ class MajorizationReport:
 
 def sun_coherent_majorization_test(n_modes: int, m_bosons: int, k: int,
                                    samples: int, seed: int = 0,
-                                   eps: float = 1e-9) -> MajorizationReport:
+                                   eps: float = MAJORIZATION_EPS) -> MajorizationReport:
     """Compare sorted cloning-channel spectra of Haar-random pure states
     against the coherent (condensate) benchmark; a state violates when one of
     its prefix sums exceeds the coherent one by more than eps.

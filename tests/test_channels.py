@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import eigvals_banded
 
+from spinwehrl import channels
 from spinwehrl.channels import (
     angular_channel,
     angular_gram,
@@ -23,6 +26,7 @@ from spinwehrl.entropy import (
     von_neumann,
     wehrl,
 )
+from spinwehrl.errors import ResourceGuardError
 from spinwehrl.su2 import (
     DensityMatrix,
     PureState,
@@ -180,6 +184,38 @@ def test_projection_entropy_batch_matches_single_calls():
         states = [random_pure(spin, rng) for _ in range(3)]
         pure = projection_entropy_batch(spin, j, np.array([s.density().matrix for s in states]))
         assert np.array_equal(pure, [projection_entropy_pure(s, j) for s in states])
+
+
+def test_band_chunks_stay_within_the_byte_guard(monkeypatch):
+    # with the guard lowered to the weights and four states' bands, 40 states
+    # go in chunks of four, and the traced peak, cold weights included, stays
+    # within it; a stack of five is refused
+    rng = np.random.default_rng(15)
+    spin, j = SpinLabel(8), SpinLabel(100)
+    rhos = np.array([random_density(spin, rng).matrix for _ in range(40)])
+    whole = projection_entropy_batch(spin, j, rhos)
+    table, state = channels._band_bytes(spin, j)
+    monkeypatch.setattr(channels, "MAX_GRID_BYTES", table + 4 * state)
+    sizes = []
+    band = channels.projection_output_band
+
+    def recording_band(l, j, rhos):
+        sizes.append(len(rhos))
+        return band(l, j, rhos)
+
+    monkeypatch.setattr(channels, "projection_output_band", recording_band)
+    channels._band_weights.cache_clear()
+    tracemalloc.start()
+    try:
+        chunked = projection_entropy_batch(spin, j, rhos)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sizes == [4] * 10
+    assert np.array_equal(chunked, whole)
+    assert peak <= table + 4 * state, peak / (table + 4 * state)
+    with pytest.raises(ResourceGuardError):
+        band(spin, j, rhos[:5])
 
 
 def test_angular_channel_up_state():

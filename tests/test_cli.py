@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spinwehrl import channels, cli, entropy, fock, majorize
+from spinwehrl import channels, cli, entropy, fock, majorize, su2
 from spinwehrl.cli import CliError, load_state_file, main, parse_half_integer
 from spinwehrl.coherent import coherent_state
 from spinwehrl.errors import DecompositionError
@@ -225,6 +225,30 @@ def test_sun_decompose_command(capsys):
     assert np.allclose(out["results"]["coefficients"], [1 / 3, 2 / 3], atol=1e-9)
 
 
+@pytest.mark.parametrize("mode,n,m,k", [
+    # C(1200, 600) ~ 1e359 in the coherent spectrum, 1030! in the condensate,
+    # C(1100, 550) ~ 1e330 in the gather weights: each overflowed a float
+    ("clone", 2, 600, 600),
+    ("prepare", 2, 1030, 1),
+    ("majorize", 2, 0, 1100),
+])
+def test_sun_weights_past_a_float_range(mode, n, m, k, capsys):
+    code = main(["sun", "--modes", str(n), "--bosons", str(m), "--copies", str(k),
+                 "--mode", mode, "--samples", "1"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    results = json.loads(captured.out)["results"]
+    spectrum = results["coherent_spectrum" if mode == "majorize" else "spectrum"]
+    assert abs(sum(spectrum) - 1) <= 1e-9
+    assert results.get("violations", 0) == 0
+
+
+def test_sun_report_names_the_eps_it_used(capsys, monkeypatch):
+    monkeypatch.setattr(fock, "MAJORIZATION_EPS", 0.25)
+    main(["sun", "--modes", "2", "--bosons", "1", "--copies", "1", "--mode", "majorize", "--samples", "2"])
+    assert json.loads(capsys.readouterr().out)["tolerances"] == {"eps": 0.25}
+
+
 def test_bad_usage_exit_code(capsys):
     assert main(["entropy", "--state"]) == 1
     assert main(["nonsense"]) == 1
@@ -244,6 +268,16 @@ def _failed_fit(*args, **kwargs):
 
 def _not_before_guard(*args, **kwargs):
     raise AssertionError("called before the guard was checked")
+
+
+def _log_factorials_up_to(limit: int):
+    """`su2.log_factorials` for tables up to ln limit!, enough for the input
+    space's condensate; a larger one is a gather table built before the guard."""
+    def table(n):
+        if n > limit:
+            raise AssertionError(f"ln {n}! read before the guard was checked")
+        return su2.log_factorials(n)
+    return table
 
 
 @pytest.mark.parametrize("argv,code,patch", [
@@ -276,13 +310,19 @@ def _not_before_guard(*args, **kwargs):
     # H(6, 14) has dimension 11628: the cloning guard fires before the gather
     # table or the coherent spectrum is built
     (["sun", "--modes", "6", "--bosons", "6", "--copies", "8", "--mode", "majorize"], 3,
-     [(fock, "_occupation_rank", _not_before_guard),
+     [(fock, "log_factorials", _not_before_guard),
       (fock, "coherent_cloning_spectrum", _not_before_guard)]),
     # prepare and decompose hold the same output guard, also before any table
     (["sun", "--modes", "6", "--bosons", "6", "--copies", "8", "--mode", "prepare"], 3,
-     [(fock, "_occupation_rank", _not_before_guard)]),
+     [(fock, "log_factorials", _log_factorials_up_to(6))]),
     (["sun", "--modes", "6", "--bosons", "6", "--copies", "8", "--mode", "decompose"], 3,
-     [(fock, "_occupation_rank", _not_before_guard)]),
+     [(fock, "log_factorials", _not_before_guard)]),
+    # the gather tables of 9591 x 9591 and 5000 x 10000 entries pass the
+    # output guard, and their byte guard fires before their weights are read
+    (["sun", "--modes", "3", "--bosons", "0", "--copies", "137", "--mode", "prepare"], 3,
+     [(fock, "log_factorials", _log_factorials_up_to(0))]),
+    (["sun", "--modes", "2", "--bosons", "5000", "--copies", "4999", "--mode", "majorize"], 3,
+     [(fock, "log_factorials", _not_before_guard)]),
 ])
 def test_error_exit_codes(argv, code, patch, monkeypatch, capsys):
     for target in patch or ():

@@ -181,3 +181,10 @@ def test_closest_coherent_matches_simplex_oracle(tl):
         found, fid = closest_coherent(psi)
         assert fid == pytest.approx(1.0, abs=1e-12)
         assert geodesic_angle(found, d) < 1e-6
+
+
+def test_coherent_state_past_the_float_range_is_refused():
+    # sqrt C(2100, 1050) overflows in the radial amplitudes; the state used to
+    # come back with every amplitude NaN
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="not finite"):
+        coherent_state(SpinLabel(2100), SphereDirection(1.0, 0.5))

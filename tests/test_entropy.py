@@ -154,6 +154,18 @@ def test_exact_wehrl_fallback_is_the_quadrature(monkeypatch):
     assert list(values) == [quadrature_oracle(s) for s in states]
 
 
+def test_gradient_fallback_keeps_the_root_gradient(monkeypatch):
+    rng = np.random.default_rng(23)
+    spin = SpinLabel(3)
+    v = 2.0 * random_pure(spin, rng).amplitudes  # the gradient takes any norm
+    value, grad = entropy.wehrl_pure_gradient(spin, v)
+    monkeypatch.setattr(entropy, "EXACT_RESIDUAL_TOL", 0.0)
+    fallback, same = entropy.wehrl_pure_gradient(spin, v)
+    assert np.array_equal(same, grad)
+    assert fallback == wehrl(PureState(spin, v, normalize=True).density())
+    assert fallback == pytest.approx(value, abs=1e-9)
+
+
 def test_wehrl_byte_guard_fires_before_allocation(monkeypatch):
     # rank 1: a full-rank Ginibre state has a Husimi function bounded away
     # from 0, whose levels agree exactly once rounding dominates. A 16 MiB
@@ -186,9 +198,9 @@ def test_wehrl_batch_chunks_within_the_byte_guard(monkeypatch):
     rows = []
     exact = entropy._exact_wehrl
 
-    def recording_exact(l, amplitudes, spec):
+    def recording_exact(l, amplitudes):
         rows.append(len(amplitudes))
-        return exact(l, amplitudes, spec)
+        return exact(l, amplitudes)
 
     monkeypatch.setattr(entropy, "_exact_wehrl", recording_exact)
     whole = wehrl_pure_batch(spin, amps)
@@ -220,6 +232,36 @@ def test_exact_wehrl_peak_within_guard_estimate(tl, rows):
         tracemalloc.stop()
     grid, row = entropy._exact_bytes(spin)
     assert peak <= grid + rows * row, peak / (grid + rows * row)
+
+
+def test_exact_wehrl_fallback_runs_after_the_chunk_is_released(monkeypatch):
+    # every row takes the quadrature, whose levels each have their own
+    # budget: the chunk's per-row arrays are gone before the first level runs
+    rng = np.random.default_rng(27)
+    spin = SpinLabel(40)
+    amps = np.array([random_pure(spin, rng).amplitudes for _ in range(8)])
+    levels = []
+    fixed = entropy.wehrl_fixed
+
+    def recording_fixed(rho, spec):
+        levels.append(entropy._level_bytes(rho.spin, spec))
+        return fixed(rho, spec)
+
+    wehrl_pure_batch(SpinLabel(3), amps[:1, :4])  # first-call set-up outside the measurement
+    monkeypatch.setattr(entropy, "EXACT_RESIDUAL_TOL", 0.0)
+    monkeypatch.setattr(entropy, "wehrl_fixed", recording_fixed)
+    entropy._exact_grid.cache_clear()
+    radial_table.cache_clear()
+    tracemalloc.start()
+    try:
+        wehrl_pure_batch(spin, amps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(levels) >= 2 * len(amps)
+    grid, row = entropy._exact_bytes(spin)
+    bound = grid + max(len(amps) * row, max(levels))
+    assert peak <= bound, peak / bound
 
 
 def test_mixed_state_wehrl_value():

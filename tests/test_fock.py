@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod, sqrt
 
@@ -13,7 +14,6 @@ from spinwehrl.fock import (
     SymmetricSpace,
     apply_cloning,
     cloning_channel,
-    cloning_normalization,
     coherent_cloning_spectrum,
     coherent_condensate,
     decompose_measure_prepare,
@@ -69,8 +69,14 @@ def cloning_kraus(n_modes: int, n_bosons: int, k: int) -> list[np.ndarray]:
     return ops
 
 
+def cloning_scale(n_modes: int, n_bosons: int, k: int) -> int:
+    """s with sum K^dag K = s * identity for the Kraus family of `cloning_kraus`:
+    k! C(M+N-1+k, k), as an exact integer."""
+    return factorial(k) * math.comb(n_bosons + n_modes - 1 + k, k)
+
+
 def apply_cloning_dense(space: SymmetricSpace, mat: np.ndarray, k: int) -> np.ndarray:
-    s = cloning_normalization(space.n_modes, space.n_bosons, k)
+    s = cloning_scale(space.n_modes, space.n_bosons, k)
     return sum(K @ mat @ K.conj().T for K in cloning_kraus(space.n_modes, space.n_bosons, k)) / s
 
 
@@ -97,7 +103,7 @@ def majorization_svd_loop(n_modes, m_bosons, k, samples, seed=0, eps=1e-9):
     e0[0] = 1.0
     coh = coherent_condensate(space, e0)
     coh_prefix = np.cumsum(cloning_channel(space, np.outer(coh, coh.conj()), k).spectrum)
-    s = cloning_normalization(n_modes, m_bosons, k)
+    s = cloning_scale(n_modes, m_bosons, k)
     kraus = np.stack(cloning_kraus(n_modes, m_bosons, k))
     violations = 0
     worst = 0.0
@@ -277,7 +283,7 @@ def test_coherent_condensate_amplitudes():
                                          (4, 3, 3), (3, 4, 4)])
 def test_cloning_kraus_completeness(n_modes, m, k):
     kraus = cloning_kraus(n_modes, m, k)
-    s = cloning_normalization(n_modes, m, k)
+    s = cloning_scale(n_modes, m, k)
     total = sum(K.conj().T @ K for K in kraus)
     assert np.max(np.abs(total - s * np.eye(SymmetricSpace(n_modes, m).dim))) < 1e-10 * max(s, 1.0)
 
@@ -398,6 +404,22 @@ def test_decomposition_properties(n_modes, m, k):
     assert np.max(np.abs(res.coefficients - res2.coefficients)) < 1e-9
 
 
+@pytest.mark.parametrize("n_modes,m,k", [(2, 200, 200), (2, 1, 1), (4, 4, 4), (3, 1, 4)])
+def test_decomposition_coefficients_match_exact_fractions(n_modes, m, k, monkeypatch):
+    # the closed form alone: no state is drawn, so the residual loop, 230 s at
+    # (2, 200, 200), does not run. The oracle normalizes C(k+N-1, l)/(k-l)!
+    # by its trace-weighted sum in exact rationals, where 200! and
+    # C(401, 200) ~ 1e119 are no floats.
+    monkeypatch.setattr(fock, "_state_chunks", lambda *args: iter(()))
+    coefs = decompose_measure_prepare(n_modes, m, k).coefficients
+    raw = [Fraction(math.comb(k + n_modes - 1, ell), factorial(k - ell)) if k - ell <= m else Fraction(0)
+           for ell in range(k + 1)]
+    total = sum(c * math.perm(m, k - ell) for ell, c in enumerate(raw))
+    expected = np.array([float(c / total) for c in raw])
+    assert np.all(np.abs(coefs - expected) <= 1e-13 * expected)
+    assert np.count_nonzero(expected) > 0
+
+
 def test_decomposition_zero_terms_when_removal_exceeds_bosons():
     res = decompose_measure_prepare(2, 1, 2)
     assert res.coefficients[0] == 0.0  # would need to strip 2 bosons from 1
@@ -445,6 +467,31 @@ def test_gather_table_is_cached_and_read_only():
         fock._annihilation_gather(3, 2, 1)[1][0, 0] = 1.0
 
 
+def gather_weights_exact(n_modes: int, m: int, k: int) -> np.ndarray:
+    """w[mu, r] = sqrt(prod_i C(m_i, mu_i) / C(M+N-1+k, k)), from the exact
+    integer ratio, entry by entry."""
+    out = SymmetricSpace(n_modes, m + k)
+    total = math.comb(m + n_modes - 1 + k, k)
+    mus = SymmetricSpace(n_modes, k).basis
+    w = np.zeros((len(mus), out.dim))
+    for i, mu in enumerate(mus):
+        for r, occ in enumerate(out.basis):
+            if min(o - u for o, u in zip(occ, mu)) >= 0:
+                w[i, r] = sqrt(prod(math.comb(o, u) for o, u in zip(occ, mu)) / total)
+    return w
+
+
+def test_gather_weights_match_exact_ratios():
+    # log-factorial differences, within 1e-15 where the binomials are small
+    for n_modes, m, k in SHAPES:
+        gap = np.max(np.abs(fock._cloning_gather(n_modes, m, k)[1] - gather_weights_exact(n_modes, m, k)))
+        assert gap <= 1e-15, (n_modes, m, k)
+    # at (2, 0, 1100) they reach C(1100, 550) ~ 1e330, and each output column
+    # still sums to C(M+k, k) / C(M+N-1+k, k) = 1/1101 (Vandermonde)
+    w = fock._cloning_gather(2, 0, 1100)[1]
+    assert np.max(np.abs(np.sum(w ** 2, axis=0) * 1101 - 1)) < 1e-12
+
+
 def test_gather_cloning_matches_dense_kraus_sum():
     rng = np.random.default_rng(6)
     for n_modes, m, k in SHAPES:
@@ -487,7 +534,7 @@ def test_batched_majorization_matches_svd_loop(monkeypatch):
         space = SymmetricSpace(n_modes, m)
         psi = np.array([random_state(space, rng) for _ in range(5)])
         kraus = np.stack(cloning_kraus(n_modes, m, k))
-        s = cloning_normalization(n_modes, m, k)
+        s = cloning_scale(n_modes, m, k)
         svd = np.array([np.linalg.svd(kraus @ p, compute_uv=False) ** 2 / s for p in psi])
         assert np.max(np.abs(clamped_spectrum(fock._image_gram(psi, src, w)) - svd)) < 1e-13, (n_modes, m, k)
 
@@ -527,9 +574,10 @@ def test_reduced_density_matches_entrywise_loop():
         mat = rng.standard_normal((space.dim, space.dim)) + 1j * rng.standard_normal((space.dim, space.dim))
         gap = np.max(np.abs(reduced_density(space, mat, ell) - reduced_density_loop(space, mat, ell)))
         assert gap < 1e-12, (n_modes, m, ell)
-        # on a pure state: the Gram matrix of its annihilation strings
+        # on a pure state: the Gram matrix of its annihilation strings, whose
+        # weights leave out the scale ell! C(M+N-1, ell)
         psi = random_state(space, rng)
-        pure = fock._image_gram(psi, *fock._annihilation_gather(n_modes, m, ell))
+        pure = math.perm(m + n_modes - 1, ell) * fock._image_gram(psi, *fock._annihilation_gather(n_modes, m, ell))
         gap = np.max(np.abs(pure - reduced_density(space, np.outer(psi, psi.conj()), ell)))
         assert gap < 1e-12, (n_modes, m, ell)
 

@@ -1,4 +1,4 @@
-from math import lgamma, log
+from math import factorial, lgamma, log
 
 import numpy as np
 import pytest
@@ -10,6 +10,8 @@ from spinwehrl.su2 import (
     SpinLabel,
     coupling_isometry,
     generators,
+    log_binom_sqrt,
+    log_factorials,
     random_density,
     random_pure,
     rotate,
@@ -269,6 +271,37 @@ def test_state_validation():
         DensityMatrix(SpinLabel(1), np.array([[0.5, 0.1j], [0.2j, 0.5]]))
     with pytest.raises(ValueError):
         DensityMatrix(SpinLabel(1), np.eye(2))
+
+
+def test_state_validation_rejects_non_finite_input():
+    # NaN passed both branches: the norm check compares abs(nan - 1) > 1e-12
+    for normalize in (True, False):
+        with pytest.raises(ValueError, match="not finite"):
+            PureState(SpinLabel(1), [np.nan, 1.0], normalize=normalize)
+    with pytest.raises(ValueError, match="not finite"):
+        PureState(SpinLabel(1), [np.inf, 1.0], normalize=True)
+    with pytest.raises(ValueError, match="non-finite"):
+        DensityMatrix(SpinLabel(1), np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+def test_log_factorials_table():
+    small = log_factorials(10)
+    table = log_factorials(3000)
+    assert len(table) > 3000 and np.array_equal(table[:len(small)], small)
+    exact = np.array([log(factorial(i)) for i in range(171)])  # 170! is the last float
+    assert np.all(np.abs(table[:171] - exact) <= 3 * np.spacing(exact))
+    with pytest.raises(ValueError):
+        table[5] = 0.0
+
+
+@pytest.mark.parametrize("twice_l", [0, 1, 2, 4, 17, 100, 1001, 4000])
+def test_log_binom_sqrt_keeps_its_lgamma_bits(twice_l):
+    # closest_coherent halves its step until rounding noise stops it, so a
+    # last-bit change here, such as reading log_factorials, moves its
+    # evaluation counts
+    ks = np.arange(twice_l, -1, -1)
+    old = 0.5 * np.array([lgamma(twice_l + 1) - lgamma(k + 1) - lgamma(twice_l - k + 1) for k in ks])
+    assert np.array_equal(log_binom_sqrt(twice_l), old)
 
 
 def test_sphere_direction_normalization():
