@@ -10,7 +10,6 @@ from .su2 import (
     random_density,
     random_pure,
     rotate,
-    symmetric_projector,
 )
 from .coherent import (
     StellarRoots,

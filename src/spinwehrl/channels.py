@@ -5,11 +5,13 @@ The projection channel maps a state on [l] to
 (2l+1)/(2(l+j)+1) * P_(l+j) (rho (x) 1_j) P_(l+j), stored directly in the
 |l+j, m> eigenbasis of the image so the output is a (2(l+j)+1)-dimensional
 density matrix. It couples |l+j, a+b> only to |l+j, a'+b>, so the output is
-banded with half-bandwidth 2l: the entropies read that band straight from the
-one closed-form stretched Clebsch-Gordan table in `su2` and solve it with one
-banded eigensolve per state. The dense output (`projection_channel`) and, for
-pure inputs, the (2j+1)-dimensional dual Gram matrix with the same nonzero
-spectrum are the oracles; the optimizer differentiates the dual Gram factor.
+banded with half-bandwidth 2l. Every route reads the one closed-form stretched
+Clebsch-Gordan table in `su2`: the entropies solve the band with one banded
+eigensolve per state, the dense output (`projection_channel`) is the band
+scattered into a Hermitian matrix, and the Kraus operators hold the table's
+entries. For pure inputs the (2j+1)-dimensional dual Gram matrix has the same
+nonzero spectrum and is the oracle of the band; the optimizer differentiates
+the dual Gram factor.
 """
 
 from __future__ import annotations
@@ -28,13 +30,11 @@ from .su2 import (
     PureState,
     SphereDirection,
     SpinLabel,
-    coupling_isometry,
     generators,
     rotation_matrix,
     stretched_cg_table,
 )
 
-TENSOR_DIM_GUARD = 40_000
 #: Largest twice_j (j <= 100) that figure-projection and the optimizer accept;
 #: the CLI checks it before sampling.
 MAX_PROJECTION_TWICE_J = 200
@@ -42,6 +42,10 @@ MAX_PROJECTION_TWICE_J = 200
 #: MAX_GRID_BYTES allows fewer (`_band_bytes`), which bounds its memory at
 #: any number of states.
 _BAND_CHUNK = 256
+#: Peak bytes of `projection_channel` per entry of its dense output, beyond
+#: the band's weights and state (`_band_bytes`); tracemalloc measured 57-64 B
+#: on cold tables at 2(l+j)+1 = 601 to 2001.
+_OUTPUT_ENTRY_BYTES = 72
 
 
 @dataclass(frozen=True)
@@ -58,23 +62,33 @@ def _as_output(spin_out: SpinLabel, mat: np.ndarray) -> ChannelOutput:
 
 
 def projection_channel(rho: DensityMatrix, j: SpinLabel) -> ChannelOutput:
+    """Dense (2(l+j)+1)-dimensional output, scattered from the lower band of
+    `projection_output_band` and its conjugate. ResourceGuardError, before
+    the band is built, when the band's weights, one state and the dense
+    output need more than MAX_GRID_BYTES."""
     l = rho.spin
-    if l.dim * j.dim > TENSOR_DIM_GUARD:
-        raise ResourceGuardError(
-            f"tensor dimension {l.dim * j.dim} exceeds the guard {TENSOR_DIM_GUARD}"
-        )
     out_spin = SpinLabel(l.twice_l + j.twice_l)
-    V = coupling_isometry(l, j)
-    out = V.T @ (rho.matrix @ V.reshape(l.dim, -1)).reshape(V.shape) * (l.dim / out_spin.dim)
+    D = out_spin.dim
+    table, state = _band_bytes(l, j)
+    if (need := table + state + _OUTPUT_ENTRY_BYTES * D * D) > MAX_GRID_BYTES:
+        raise ResourceGuardError(f"projection output at twice_l={l.twice_l}, twice_j={j.twice_l} needs "
+                                 f"{need} bytes, over the {MAX_GRID_BYTES}-byte guard")
+    band = projection_output_band(l, j, rho.matrix)
+    k, c = np.nonzero(np.add.outer(np.arange(l.dim), np.arange(D)) < D)  # band[k, c] = out[c+k, c]
+    out = np.zeros((D, D), dtype=band.dtype)
+    out[c, c + k] = band[k, c].conj()
+    out[c + k, c] = band[k, c]
     return _as_output(out_spin, out)
 
 
 def projection_kraus(l: SpinLabel, j: SpinLabel) -> list[np.ndarray]:
-    """Kraus operators A_M (shape 2(l+j)+1 x 2l+1) for M = j, ..., -j."""
-    out_spin = SpinLabel(l.twice_l + j.twice_l)
-    V = coupling_isometry(l, j).reshape(l.dim, j.dim, out_spin.dim)
-    scale = np.sqrt(l.dim / out_spin.dim)
-    return [scale * V[:, idx, :].T.conj() for idx in range(j.dim)]
+    """Kraus operators A_M (shape 2(l+j)+1 x 2l+1) for M = j, ..., -j, read
+    from the stretched table T: A_(M_b)[a+b, a] = sqrt((2l+1)/(2(l+j)+1)) T[a, b]."""
+    T = stretched_cg_table(l, j)
+    a, b = np.indices(T.shape)
+    A = np.zeros((j.dim, l.dim + j.twice_l, l.dim))
+    A[b, a + b, a] = np.sqrt(l.dim / (l.dim + j.twice_l)) * T
+    return list(A)
 
 
 def projection_dual_factor(psi: PureState, j: SpinLabel) -> np.ndarray:

@@ -20,11 +20,11 @@ Exit codes, each failure with a one-line message on stderr:
 * 2 conjecture-scan counterexample;
 * 3 a guard or numerical limit was hit: a resource guard (figure-projection
   twice_l <= 8 and j <= 100, the optimizer's twice_l <= 16 and projection
-  j <= 100, entropy's projection j <= 100, tensor dimensions, the output
-  dimension dim H(N, M+k) <= 10000 that every ``sun`` mode holds, and the
-  byte guards of the exact Wehrl grid, a projection band, a Renyi
-  quadrature level and the cloning gather table of ``sun`` prepare,
-  decompose and majorize), a Wehrl quadrature that did not converge within
+  j <= 100, entropy's projection j <= 100, the output dimension
+  dim H(N, M+k) <= 10000 that every ``sun`` mode holds, and the byte guards
+  of the exact Wehrl grid, a projection band, a Renyi quadrature level, and
+  the cloning gather table and ln i! table of ``sun`` prepare, decompose and
+  majorize), a Wehrl quadrature that did not converge within
   its grid limit, or a measure-and-prepare decomposition above its residual
   threshold.
 

@@ -35,7 +35,8 @@ from .su2 import (
 
 MAX_N_THETA = 4096
 #: Largest number of bytes one quadrature level (`_level_bytes`), exact-route
-#: chunk (`_exact_bytes`) or projection band (`channels`) may allocate.
+#: chunk (`_exact_bytes`), projection band or dense projection output
+#: (`channels`) may allocate.
 MAX_GRID_BYTES = 512 * 2 ** 20
 #: Largest max |f - K prod_i (1 - n.z_i)/2| on the exact grid that keeps a
 #: pure state on the root formula; beyond it the state takes the quadrature.

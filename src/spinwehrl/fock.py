@@ -100,6 +100,12 @@ def _cloning_output_space(n_modes: int, n_bosons: int, k: int) -> SymmetricSpace
     return out
 
 
+def _log_factorial_bytes(n: int) -> int:
+    """Bytes of the `su2.log_factorials` table once it reaches ln n!: it
+    grows by doubling, so up to 2(n+1) entries of 8 B."""
+    return 16 * (n + 1)
+
+
 @lru_cache(maxsize=None)
 def _cloning_gather(n_modes: int, n_bosons: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Kraus operators K_mu = sqrt(k!/mu!) (a*)^mu / sqrt(k! C(M+N-1+k, k))
@@ -109,13 +115,14 @@ def _cloning_gather(n_modes: int, n_bosons: int, k: int) -> tuple[np.ndarray, np
     - 1/2 ln C(M+N-1+k, k)) in column src[mu, r], the index of m - mu; w = 0
     and src = 0 where m - mu < 0. Adding mu keeps the basis order, so the
     valid columns of each row hold H(N, M) in order. The output guard and
-    the table's byte guard are checked before anything is built."""
+    the byte guard of the table and of ln i! up to M+N-1+k are checked
+    before anything is built."""
     out = _cloning_output_space(n_modes, n_bosons, k)
     n_kraus = comb(k + n_modes - 1, k)
-    if (need := _GATHER_ENTRY_BYTES * n_kraus * out.dim) > MAX_GRID_BYTES:
+    top = n_bosons + n_modes - 1 + k
+    if (need := _GATHER_ENTRY_BYTES * n_kraus * out.dim + _log_factorial_bytes(top)) > MAX_GRID_BYTES:
         raise ResourceGuardError(f"cloning gather table at (N, M, k) = ({n_modes}, {n_bosons}, {k}) needs "
                                  f"{need} bytes, over the {MAX_GRID_BYTES}-byte guard")
-    top = n_bosons + n_modes - 1 + k
     lg = log_factorials(top)
     occ = np.array(out.basis).reshape(out.dim, n_modes)
     mu = np.array(_occupation_basis(n_modes, k)).reshape(n_kraus, n_modes)
@@ -138,12 +145,17 @@ def _cloning_gather(n_modes: int, n_bosons: int, k: int) -> tuple[np.ndarray, np
 
 
 def coherent_condensate(space: SymmetricSpace, omega) -> np.ndarray:
-    """Amplitudes of |Omega (x) ... (x) Omega> in the occupation basis."""
+    """Amplitudes of |Omega (x) ... (x) Omega> in the occupation basis;
+    ResourceGuardError, before the ln i! table grows, when it would pass
+    MAX_GRID_BYTES."""
     omega = np.asarray(omega, dtype=complex)
     if omega.shape != (space.n_modes,):
         raise ValueError(f"direction vector must have {space.n_modes} components")
     if not omega.any():
         raise ValueError("zero direction vector")
+    if (need := _log_factorial_bytes(space.n_bosons)) > MAX_GRID_BYTES:
+        raise ResourceGuardError(f"ln i! table up to i = {space.n_bosons} needs {need} bytes, "
+                                 f"over the {MAX_GRID_BYTES}-byte guard")
     occ = np.array(space.basis).reshape(space.dim, space.n_modes)
     # ln of sqrt(M! / prod_i n_i!) prod_i |omega_i|^n_i with 0 ln 0 = 0, less
     # ln sqrt(M!) and the maximum, which the normalization restores

@@ -203,27 +203,6 @@ def stretched_cg_table(l: SpinLabel, j: SpinLabel) -> np.ndarray:
     return T
 
 
-@lru_cache(maxsize=64)
-def coupling_isometry(l: SpinLabel, j: SpinLabel) -> np.ndarray:
-    """Isometry [l+j] -> [l] (x) [j] whose columns are the |l+j, M> states.
-
-    Shape (d_l * d_j, 2(l+j)+1); product-basis row index is i_l * d_j + i_j
-    with both factors m-descending, columns are M-descending.
-    """
-    T = stretched_cg_table(l, j)
-    a, b = np.indices(T.shape)
-    V = np.zeros((T.size, l.twice_l + j.twice_l + 1))
-    V[np.arange(T.size), (a + b).ravel()] = T.ravel()
-    V.flags.writeable = False
-    return V
-
-
-def symmetric_projector(l: SpinLabel, j: SpinLabel) -> np.ndarray:
-    """Orthogonal projector onto the highest-spin component [l+j] of [l] (x) [j]."""
-    V = coupling_isometry(l, j)
-    return V @ V.T
-
-
 def rotation_matrix(spin: SpinLabel, direction: SphereDirection) -> np.ndarray:
     """Wigner rotation R(Omega) = exp(-i phi Lz) exp(-i theta L2)."""
     Lz, _, _, _, L2, _ = generators(spin)

@@ -37,13 +37,25 @@ from spinwehrl.su2 import (
     random_pure,
 )
 
+from test_su2 import coupling_isometry
+
 HALF = SpinLabel(1)
 ONE = SpinLabel(2)
+BAND_TWICE_J = (0, 1, 2, 5, 20, 57, 200)
 
 
 def apply_kraus(kraus, rho_matrix: np.ndarray) -> np.ndarray:
     """sum_M A_M rho A_M^dag, the Kraus form the dense output is checked against."""
     return sum(A @ rho_matrix @ A.conj().T for A in kraus)
+
+
+def isometry_output(rho: DensityMatrix, j: SpinLabel) -> np.ndarray:
+    """(2l+1)/(2(l+j)+1) V^T (rho (x) 1) V on the coupling isometry V, before
+    normalization: the dense oracle of the band and of the output scattered
+    from it."""
+    l = rho.spin
+    V = coupling_isometry(l, j)
+    return V.T @ (rho.matrix @ V.reshape(l.dim, -1)).reshape(V.shape) * (l.dim / V.shape[1])
 
 
 def test_projection_spin_half_pair_spectrum():
@@ -68,8 +80,10 @@ def test_projection_dual_gram_matches_primal_spectrum():
 
 
 def test_projection_kraus_completeness_and_agreement():
+    # the Kraus operators and the dense output both read the stretched table,
+    # so each is checked against the isometry route as well as the other
     rng = np.random.default_rng(1)
-    for tl, tj in [(1, 1), (2, 2), (3, 1)]:
+    for tl, tj in [(1, 1), (2, 2), (3, 1)] + [(tl, tj) for tl in range(9) for tj in BAND_TWICE_J]:
         spin, j = SpinLabel(tl), SpinLabel(tj)
         kraus = projection_kraus(spin, j)
         total = sum(k.conj().T @ k for k in kraus)
@@ -77,7 +91,10 @@ def test_projection_kraus_completeness_and_agreement():
         rho = random_density(spin, rng)
         direct = projection_channel(rho, j).matrix.matrix
         via_kraus = apply_kraus(kraus, rho.matrix)
+        oracle = isometry_output(rho, j)
         assert np.max(np.abs(direct - via_kraus)) < 1e-12
+        assert np.max(np.abs(direct - oracle)) < 1e-12
+        assert np.max(np.abs(via_kraus - oracle)) < 1e-12
 
 
 def test_projection_trace_preserving_and_unital_image():
@@ -128,9 +145,6 @@ def test_projection_large_j_dual_route():
     assert np.trace(g).real == pytest.approx(1.0, abs=1e-10)
 
 
-BAND_TWICE_J = (0, 1, 2, 5, 20, 57, 200)
-
-
 def banded_spectrum(spin, j, rho_matrix):
     """The spectrum behind the library's projection entropies."""
     return clamp_eigenvalues(eigvals_banded(projection_output_band(spin, j, rho_matrix), lower=True))
@@ -157,20 +171,56 @@ def test_banded_route_matches_dense_routes():
 
 
 def test_dense_output_is_banded():
-    # out[c+k, c] = 0 for k > 2l, and the band holds the other diagonals
+    # on the isometry route, out[c+k, c] = 0 for k > 2l and the band holds the
+    # other diagonals; the dense output, scattered from the band, matches it
     rng = np.random.default_rng(13)
-    for tl, tj in [(0, 3), (1, 1), (2, 5), (4, 20), (8, 0), (8, 57)]:
+    shapes = [(0, 3), (1, 1), (2, 5), (4, 20), (8, 0), (8, 57)]
+    shapes += [(tl, tj) for tl in range(9) for tj in BAND_TWICE_J]
+    for tl, tj in shapes:
         spin, j = SpinLabel(tl), SpinLabel(tj)
-        rho = random_density(spin, rng)
-        out = projection_channel(rho, j).matrix.matrix
-        rows, cols = np.indices(out.shape)
-        assert np.all(out[np.abs(rows - cols) > tl] == 0)
-        band = projection_output_band(spin, j, rho.matrix)
-        assert band.shape == (spin.dim, len(out))
-        for k in range(spin.dim):
-            n = len(out) - k
-            assert np.max(np.abs(np.diagonal(out, -k) - band[k, :n])) < 1e-15
-            assert np.all(band[k, n:] == 0)
+        for rho in (random_pure(spin, rng).density(), random_density(spin, rng)):
+            out = isometry_output(rho, j)
+            rows, cols = np.indices(out.shape)
+            assert np.all(out[np.abs(rows - cols) > tl] == 0)
+            band = projection_output_band(spin, j, rho.matrix)
+            assert band.shape == (spin.dim, len(out))
+            for k in range(spin.dim):
+                n = len(out) - k
+                assert np.max(np.abs(np.diagonal(out, -k) - band[k, :n])) < 1e-15
+                assert np.all(band[k, n:] == 0)
+            dense = projection_channel(rho, j)
+            oracle = channels._as_output(dense.spin_out, out).matrix.matrix
+            assert np.max(np.abs(dense.matrix.matrix - oracle)) < 1e-15
+
+
+@pytest.mark.parametrize("tl,tj", [(0, 39998), (8, 4442)])
+def test_projection_channel_guard_fires_before_the_band(tl, tj, monkeypatch):
+    # the dense outputs alone would take about 115 GB and 1.4 GB
+    def not_reached(*args):
+        raise AssertionError("band built before the guard was checked")
+
+    monkeypatch.setattr(channels, "_band_weights", not_reached)
+    monkeypatch.setattr(channels, "projection_output_band", not_reached)
+    with pytest.raises(ResourceGuardError, match="projection output"):
+        projection_channel(DensityMatrix.maximally_mixed(SpinLabel(tl)), SpinLabel(tj))
+
+
+@pytest.mark.parametrize("tl,tj", [(0, 600), (8, 592), (2, 798)])
+def test_projection_channel_peak_within_guard_estimate(tl, tj):
+    # the traced peak, cold band weights included, stays within the bytes the
+    # guard counts: the weights, one state's band and the dense output
+    spin, j = SpinLabel(tl), SpinLabel(tj)
+    rho = random_density(spin, np.random.default_rng(16))
+    table, state = channels._band_bytes(spin, j)
+    counted = table + state + channels._OUTPUT_ENTRY_BYTES * (tl + tj + 1) ** 2
+    channels._band_weights.cache_clear()
+    tracemalloc.start()
+    try:
+        projection_channel(rho, j)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= counted, peak / counted
 
 
 def test_projection_entropy_batch_matches_single_calls():

@@ -323,6 +323,13 @@ def _log_factorials_up_to(limit: int):
      [(fock, "log_factorials", _log_factorials_up_to(0))]),
     (["sun", "--modes", "2", "--bosons", "5000", "--copies", "4999", "--mode", "majorize"], 3,
      [(fock, "log_factorials", _not_before_guard)]),
+    # dim H(1, M) = 1 passes both guards above, and the ln i! table up to
+    # M = 5e7 is refused before it grows: in the condensate of prepare and
+    # beside the gather table of majorize
+    (["sun", "--modes", "1", "--bosons", "50000000", "--copies", "1", "--mode", "prepare"], 3,
+     [(fock, "log_factorials", _not_before_guard)]),
+    (["sun", "--modes", "1", "--bosons", "50000000", "--copies", "1", "--mode", "majorize"], 3,
+     [(fock, "log_factorials", _not_before_guard)]),
 ])
 def test_error_exit_codes(argv, code, patch, monkeypatch, capsys):
     for target in patch or ():

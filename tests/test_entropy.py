@@ -26,10 +26,11 @@ from spinwehrl.su2 import (
     PureState,
     SphereDirection,
     SpinLabel,
-    coupling_isometry,
     random_density,
     random_pure,
 )
+
+from test_su2 import coupling_isometry
 
 
 def random_direction(rng):

@@ -8,7 +8,6 @@ from spinwehrl.su2 import (
     PureState,
     SphereDirection,
     SpinLabel,
-    coupling_isometry,
     generators,
     log_binom_sqrt,
     log_factorials,
@@ -17,7 +16,6 @@ from spinwehrl.su2 import (
     rotate,
     rotation_matrix,
     stretched_cg_table,
-    symmetric_projector,
 )
 
 ALL_SPINS = [SpinLabel(t) for t in range(0, 13)]
@@ -204,6 +202,24 @@ def racah_coupling_isometry(tl, tj):
             if abs(tm2) <= tj:
                 V[i1 * (tj + 1) + (tj - tm2) // 2, col] = cg_twice(tl, tm1, tj, tm2, tL, tM)
     return V
+
+
+def coupling_isometry(l, j):
+    """Isometry [l+j] -> [l] (x) [j] whose columns are the |l+j, M> states,
+    shape (d_l * d_j, 2(l+j)+1): product row i_l * d_j + i_j, both factors
+    m-descending, holds the stretched table entry T[i_l, i_j] in column
+    i_l + i_j. The dense oracle of the projection channel in the tests."""
+    T = stretched_cg_table(l, j)
+    a, b = np.indices(T.shape)
+    V = np.zeros((T.size, l.twice_l + j.twice_l + 1))
+    V[np.arange(T.size), (a + b).ravel()] = T.ravel()
+    return V
+
+
+def symmetric_projector(l, j):
+    """Orthogonal projector onto the highest-spin component [l+j] of [l] (x) [j]."""
+    V = coupling_isometry(l, j)
+    return V @ V.T
 
 
 @pytest.mark.parametrize("tj", [*range(17), 40, 100, 200])
