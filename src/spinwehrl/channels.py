@@ -23,7 +23,7 @@ from math import log
 import numpy as np
 from scipy.linalg import eigvals_banded
 
-from .entropy import MAX_GRID_BYTES, clamp_eigenvalues, clamped_spectrum, entropy_of_spectrum
+from .entropy import MAX_GRID_BYTES, clamp_eigenvalues, entropy_of_spectrum
 from .errors import ResourceGuardError
 from .su2 import (
     DensityMatrix,
@@ -58,7 +58,8 @@ class ChannelOutput:
 def _as_output(spin_out: SpinLabel, mat: np.ndarray) -> ChannelOutput:
     mat = (mat + mat.conj().T) / 2
     mat = mat / np.trace(mat).real
-    return ChannelOutput(spin_out, DensityMatrix(spin_out, mat), clamped_spectrum(mat))
+    rho = DensityMatrix(spin_out, mat)
+    return ChannelOutput(spin_out, rho, clamp_eigenvalues(rho.eigenvalues))
 
 
 def projection_channel(rho: DensityMatrix, j: SpinLabel) -> ChannelOutput:

@@ -15,7 +15,6 @@ from functools import lru_cache
 from math import pi
 
 import numpy as np
-from scipy.linalg import expm
 
 from .quadrature import QuadratureSpec, exact_grid, sphere_nodes
 from .su2 import (
@@ -23,7 +22,6 @@ from .su2 import (
     PureState,
     SphereDirection,
     SpinLabel,
-    generators,
     geodesic_angle,
     log_binom_sqrt,
 )
@@ -200,51 +198,39 @@ def state_from_roots(roots: StellarRoots) -> PureState:
 def closest_coherent(psi: PureState) -> tuple[SphereDirection, float]:
     """Coherent state of maximal Husimi overlap with psi.
 
-    Damped Newton steps on the overlap from the maximum of a coarse 32x64
-    grid, in the frame that rotates that maximum onto the equator so that no
-    step meets a pole; when the maximum is degenerate (e.g. rotationally
-    symmetric states) any one maximizer is returned.
+    The Husimi function is f(n) = K prod_i (1 - n.z_i)/2 over its zeros z_i
+    (`husimi_zeros`), so n maximizes F(n) = sum_i ln(1 - n.z_i): Newton steps
+    on the unit sphere, in no chart and so with no pole to avoid, from the
+    maximum of a coarse 32x64 grid. The fidelity is the amplitude overlap at
+    the n found. When the maximum is degenerate (e.g. rotationally symmetric
+    states) any one maximizer is returned. The search is as accurate as the
+    zeros: from twice_l ~ 90 their eigensolve error moves the maximum, by up
+    to 3e-3 in fidelity on Haar states.
     """
     l = psi.spin
-    thetas = np.arccos(np.linspace(1, -1, 32))
-    phis = 2 * pi * np.arange(64) / 64
-    V = _amplitudes(l, thetas, phis).reshape(-1, l.dim)
-    # einsum, not a BLAS gemv: at 2048 nodes the gemv wakes numpy's thread
-    # pool, which made each call up to 4x slower on a 2-CPU machine
-    i = int(np.argmax(np.abs(np.einsum("nj,j->n", V, psi.amplitudes.conj()))))
-    # exp(-i alpha L2) exp(i p0 Lz) takes the grid maximum to (pi/2, 0)
-    alpha, p0 = pi / 2 - thetas[i // 64], phis[i % 64]
-    _, _, _, _, L2, Lz = generators(l)
-    m = np.diag(Lz).real
-    D = (-1j * L2).real  # r'(theta) = -i L2 r(theta) for the radial amplitudes
-    q0 = expm(-1j * alpha * L2) @ (np.exp(1j * m * p0) * psi.amplitudes)
-
-    def overlap(x):
-        """|<Omega|q0>|^2 at Omega = (x[0], x[1]), its gradient and Hessian."""
-        r = _radial(l, x[:1])[0]
-        q = np.exp(1j * m * x[1]) * q0  # <Omega| has amplitudes r_m e^(i m phi)
-        g = np.stack([r, D @ r, D @ D @ r]) @ np.stack([q, 1j * m * q, -m * m * q]).T
-        dg = np.array([g[1, 0], g[0, 1]])
-        ddg = np.array([[g[2, 0], g[1, 1]], [g[1, 1], g[0, 2]]])
-        hess = 2 * np.real(np.outer(dg.conj(), dg) + np.conj(g[0, 0]) * ddg)
-        return abs(g[0, 0]) ** 2, 2 * np.real(np.conj(g[0, 0]) * dg), hess
-
-    x = np.array([pi / 2, 0.0])
-    value, grad, hess = overlap(x)
+    z = husimi_zeros(l, psi.amplitudes[None])[0]
+    theta = np.arccos(np.linspace(1, -1, 32))[:, None]
+    phi = 2 * pi * np.arange(64) / 64
+    grid = np.stack(np.broadcast_arrays(np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)),
+                    axis=-1).reshape(-1, 3)
+    # a zero on a node gives t <= 0 there, which never wins
+    with np.errstate(divide="ignore"):
+        F = np.log(np.maximum(1 - grid @ z.T, 0)).sum(axis=1)
+    n = grid[np.argmax(F)]
     for _ in range(50):
-        # Newton step with |eigenvalues|, an ascent direction also where the
-        # Hessian is not negative definite, of at most 0.2 rad (two grid
-        # spacings), halved until it raises the overlap or reaches rounding
-        lam, U = np.linalg.eigh(hess)
-        step = U @ (U.T @ grad / np.maximum(np.abs(lam), 1e-300))
-        step *= min(1.0, 0.2 / max(np.linalg.norm(step), 1e-300))
-        while np.linalg.norm(step) > 1e-12 and (trial := overlap(x + step))[0] <= value:
-            step /= 2
-        if np.linalg.norm(step) <= 1e-12:
+        t = 1 - z @ n
+        g = -(z.T @ (1 / t))
+        P = np.eye(3) - np.outer(n, n)
+        if np.linalg.norm(pg := P @ g) <= 1e-13:
             break
-        x, (value, grad, hess) = x + step, trial
-    # back to the original frame: n = Rz(p0) Ry(-alpha) n'
-    nx, ny, nz = np.sin(x[0]) * np.cos(x[1]), np.sin(x[0]) * np.sin(x[1]), np.cos(x[0])
-    theta = np.arccos(np.clip(np.sin(alpha) * nx + np.cos(alpha) * nz, -1.0, 1.0))
-    phi = np.arctan2(ny, np.cos(alpha) * nx - np.sin(alpha) * nz) + p0
-    return SphereDirection(float(theta), float(phi)), float(value)
+        # Newton step with |eigenvalues| of the Riemannian Hessian, an ascent
+        # direction also where it is not negative definite, of at most
+        # 0.2 rad (two grid spacings); n n^T keeps n out of the step
+        hess = P @ (-(z.T / t**2) @ z - (n @ g) * np.eye(3)) @ P + np.outer(n, n)
+        lam, U = np.linalg.eigh(hess)
+        step = U @ (U.T @ pg / np.maximum(np.abs(lam), 1e-300))
+        angle = min(np.linalg.norm(step), 0.2)
+        n = np.cos(angle) * n + np.sin(angle) * step / np.linalg.norm(step)
+        n /= np.linalg.norm(n)  # else |n| drifts and P stops being a projector
+    direction = SphereDirection(np.arccos(np.clip(n[2], -1.0, 1.0)), np.arctan2(n[1], n[0]))
+    return direction, psi.fidelity(coherent_state(l, direction))

@@ -85,7 +85,7 @@ def entropy_of_spectrum(vals: np.ndarray) -> float:
 
 
 def von_neumann(rho: DensityMatrix) -> float:
-    return entropy_of_spectrum(clamped_spectrum(rho.matrix))
+    return entropy_of_spectrum(clamp_eigenvalues(rho.eigenvalues))
 
 
 def povm_entropy(rho: DensityMatrix, effects) -> float:

@@ -289,12 +289,12 @@ def decompose_measure_prepare(n_modes: int, m_bosons: int, k: int,
     C(M+N-1+k, k) times the Gram matrix of the annihilation table's weights;
     DecompositionError when it exceeds 1e-9."""
     space = SymmetricSpace(n_modes, m_bosons)
+    src = _cloning_gather(n_modes, m_bosons, k)[0]  # its guards, before any big integer
     total = comb(m_bosons + n_modes - 1 + k, k)
     ells = range(max(k - m_bosons, 0), k + 1)
     coefs = np.zeros(k + 1)
     for ell in ells:
         coefs[ell] = comb(k + n_modes - 1, ell) * comb(m_bosons, k - ell) / (total * perm(m_bosons, k - ell))
-    src = _cloning_gather(n_modes, m_bosons, k)[0]
     residual = 0.0
     for psi in _state_chunks(space.dim, max(batch, 1), seed, src.size):
         # gamma^(k-l)(psi psi^dag) straight from the amplitudes, then Phi^l

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isfinite, lgamma, pi
+from math import isfinite, pi
 
 import numpy as np
 from scipy.linalg import expm
@@ -109,7 +109,8 @@ class PureState:
 
 
 class DensityMatrix:
-    """Hermitian PSD unit-trace matrix over |l,m> with m descending."""
+    """Hermitian PSD unit-trace matrix over |l,m> with m descending; read-only,
+    with the ascending, unclamped `eigenvalues` its positivity check computes."""
 
     def __init__(self, spin: SpinLabel, matrix):
         matrix = np.asarray(matrix, dtype=complex)
@@ -121,11 +122,14 @@ class DensityMatrix:
             raise ValueError("matrix is not Hermitian within 1e-12")
         if abs(np.trace(matrix).real - 1.0) > 1e-12:
             raise ValueError("trace deviates from 1 beyond 1e-12")
-        if np.min(np.linalg.eigvalsh(matrix)) < -EIGENVALUE_CLAMP:
+        eigenvalues = np.linalg.eigvalsh(matrix)
+        if np.min(eigenvalues) < -EIGENVALUE_CLAMP:
             raise ValueError("matrix has an eigenvalue below -1e-12")
         self.spin = spin
         self.matrix = matrix
         self.matrix.flags.writeable = False
+        self.eigenvalues = eigenvalues
+        self.eigenvalues.flags.writeable = False
 
     @classmethod
     def maximally_mixed(cls, spin: SpinLabel) -> "DensityMatrix":
@@ -171,10 +175,11 @@ _LOG_FACTORIALS = np.zeros(1)
 
 def log_factorials(n: int) -> np.ndarray:
     """ln i! for i = 0 .. n at least, from one read-only table that grows by
-    doubling. The bosonic weights of `fock` are differences of its entries,
-    so none of their factors that can exceed 1 is formed as a float. Built
-    with `scipy.special.gammaln`, within 2 ulps of ln i! up to i = 3000;
-    `math.lgamma` misses ln i! by up to 3 ulps at small i."""
+    doubling. The bosonic weights of `fock` and the spin binomials of
+    `log_binom_sqrt` are differences of its entries, so none of their factors
+    that can exceed 1 is formed as a float. Built with `scipy.special.gammaln`,
+    within 2 ulps of ln i! up to i = 3000; `math.lgamma` misses ln i! by up to
+    3 ulps at small i."""
     global _LOG_FACTORIALS
     if n >= len(_LOG_FACTORIALS):
         table = gammaln(np.arange(max(n + 1, 2 * len(_LOG_FACTORIALS))) + 1.0)
@@ -184,12 +189,10 @@ def log_factorials(n: int) -> np.ndarray:
 
 
 def log_binom_sqrt(twice_l: int) -> np.ndarray:
-    """0.5*log C(2l, l+m) for m descending. Kept on `math.lgamma`, not on
-    `log_factorials`: `coherent.closest_coherent` halves its step until the
-    objective stops improving by rounding noise, so these last bits set how
-    many evaluations each search takes."""
+    """0.5*log C(2l, l+m) for m descending, from the `log_factorials` table."""
+    lf = log_factorials(twice_l)
     ks = np.arange(twice_l, -1, -1)  # l+m
-    return 0.5 * np.array([lgamma(twice_l + 1) - lgamma(k + 1) - lgamma(twice_l - k + 1) for k in ks])
+    return 0.5 * (lf[twice_l] - lf[ks] - lf[twice_l - ks])
 
 
 @lru_cache(maxsize=64)

@@ -193,6 +193,27 @@ def test_dense_output_is_banded():
             assert np.max(np.abs(dense.matrix.matrix - oracle)) < 1e-15
 
 
+@pytest.mark.parametrize("channel", [lambda rho: projection_channel(rho, SpinLabel(5)), angular_channel],
+                         ids=["projection", "angular"])
+def test_channel_output_takes_one_eigensolve(channel, monkeypatch):
+    # the output's spectrum, and its von Neumann entropy, are the positivity
+    # check's eigvalsh, clamped
+    rho = random_density(SpinLabel(4), np.random.default_rng(17))
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    out = channel(rho)
+    entropy = von_neumann(out.matrix)
+    assert len(calls) == 1
+    assert np.array_equal(out.spectrum, clamped_spectrum(out.matrix.matrix))
+    assert entropy == entropy_of_spectrum(out.spectrum)
+
+
 @pytest.mark.parametrize("tl,tj", [(0, 39998), (8, 4442)])
 def test_projection_channel_guard_fires_before_the_band(tl, tj, monkeypatch):
     # the dense outputs alone would take about 115 GB and 1.4 GB

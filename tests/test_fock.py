@@ -425,6 +425,17 @@ def test_decomposition_zero_terms_when_removal_exceeds_bosons():
     assert res.coefficients[0] == 0.0  # would need to strip 2 bosons from 1
 
 
+def test_decomposition_guard_comes_before_the_big_integers(monkeypatch):
+    # the 5000 x 10000 gather table is refused before the exact falling
+    # factorials of the closed form, which took 12 s at this shape
+    def reached(*args):
+        raise AssertionError("perm reached before the guard")
+
+    monkeypatch.setattr(fock, "perm", reached)
+    with pytest.raises(ResourceGuardError):
+        decompose_measure_prepare(2, 5000, 4999)
+
+
 def test_majorization_report_no_violations():
     rep = sun_coherent_majorization_test(3, 2, 2, samples=50, seed=0)
     assert rep.samples == 50

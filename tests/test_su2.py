@@ -1,4 +1,4 @@
-from math import factorial, lgamma, log
+from math import comb, factorial, lgamma, log
 
 import numpy as np
 import pytest
@@ -311,13 +311,11 @@ def test_log_factorials_table():
 
 
 @pytest.mark.parametrize("twice_l", [0, 1, 2, 4, 17, 100, 1001, 4000])
-def test_log_binom_sqrt_keeps_its_lgamma_bits(twice_l):
-    # closest_coherent halves its step until rounding noise stops it, so a
-    # last-bit change here, such as reading log_factorials, moves its
-    # evaluation counts
-    ks = np.arange(twice_l, -1, -1)
-    old = 0.5 * np.array([lgamma(twice_l + 1) - lgamma(k + 1) - lgamma(twice_l - k + 1) for k in ks])
-    assert np.array_equal(log_binom_sqrt(twice_l), old)
+def test_log_binom_sqrt_matches_exact_binomials(twice_l):
+    # differences of the ln i! table, within 2 ulps of ln (2l)! of the
+    # logarithm of exact integer binomials
+    exact = np.array([0.5 * log(comb(twice_l, k)) for k in range(twice_l, -1, -1)])
+    assert np.all(np.abs(log_binom_sqrt(twice_l) - exact) <= 2 * np.spacing(log(factorial(twice_l))))
 
 
 def test_sphere_direction_normalization():
