@@ -32,6 +32,7 @@ from .entropy import (
     wehrl_closed,
     wehrl_pure,
     wehrl_pure_batch,
+    wehrl_quadrature,
 )
 from .channels import (
     ChannelOutput,

@@ -114,19 +114,26 @@ def completeness_defect(l: SpinLabel, spec: QuadratureSpec) -> float:
     return float(np.max(np.abs(resolution - np.eye(l.dim))))
 
 
+@lru_cache(maxsize=64)
+def _majorana_weights(twice_l: int) -> np.ndarray:
+    """(-1)^(l-m) C(2l, l+m)^(1/2) for l+m = 0..2l, the factors that take the
+    amplitudes, m ascending, to the Majorana coefficients; cached, read-only."""
+    weights = (-1.0) ** np.arange(twice_l, -1, -1) * np.exp(log_binom_sqrt(twice_l))[::-1]
+    weights.flags.writeable = False
+    return weights
+
+
 def _majorana_coefficients(l: SpinLabel, amplitudes: np.ndarray):
     """Ascending coefficients of each state's Majorana polynomial (rows of
     `amplitudes` are states), scaled to unit maximum modulus, and the degrees
     left once numerically vanishing (below 1e-13) leading coefficients are
     dropped."""
-    tl = l.twice_l
-    signs = (-1.0) ** np.arange(tl, -1, -1)  # (-1)^(l-m) with l+m = 0..2l
-    coefs = signs * np.exp(log_binom_sqrt(tl))[::-1] * np.asarray(amplitudes)[:, ::-1]
+    coefs = _majorana_weights(l.twice_l) * np.asarray(amplitudes)[:, ::-1]
     scale = np.max(np.abs(coefs), axis=1, keepdims=True)
-    if np.any(scale == 0):
+    if not scale.all():
         raise ValueError("zero state has no stellar representation")
-    coefs = coefs / scale
-    return coefs, tl - np.argmax(np.abs(coefs[:, ::-1]) >= 1e-13, axis=1)
+    coefs /= scale
+    return coefs, l.twice_l - np.argmax(np.abs(coefs[:, ::-1]) >= 1e-13, axis=1)
 
 
 def _majorana_roots(coefs: np.ndarray, degrees: np.ndarray) -> np.ndarray:
@@ -140,13 +147,16 @@ def _majorana_roots(coefs: np.ndarray, degrees: np.ndarray) -> np.ndarray:
     step breaks (a coherent state at twice_l = 4 then misses its Husimi
     function by 6e-7 instead of 8e-16).
     """
-    roots = np.full((len(coefs), coefs.shape[1] - 1), np.inf, dtype=complex)
-    for deg in np.unique(degrees[degrees > 0]):
-        rows = np.flatnonzero(degrees == deg)
+    n, tl = coefs.shape[0], coefs.shape[1] - 1
+    roots = np.full((n, tl), np.inf, dtype=complex)
+    for deg, count in enumerate(np.bincount(degrees, minlength=tl + 1).tolist()):
+        if deg == 0 or count == 0:
+            continue
+        rows = slice(None) if count == n else np.flatnonzero(degrees == deg)
         asc = coefs[rows, : deg + 1]
-        companion = np.zeros((len(rows), deg, deg), dtype=complex)
+        companion = np.zeros((len(asc), deg, deg), dtype=complex)
         companion[:, 0, :] = -asc[:, deg - 1::-1] / asc[:, deg:]
-        companion[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
+        companion.reshape(-1, deg * deg)[:, deg::deg + 1] = 1.0  # the subdiagonal
         roots[rows, :deg] = np.linalg.eigvals(companion)
     return roots
 
@@ -164,14 +174,17 @@ def husimi_zeros(l: SpinLabel, amplitudes: np.ndarray) -> np.ndarray:
     (n, 2l, 3): the antipodes of the Majorana roots; rows of `amplitudes` are
     states."""
     z = _majorana_roots(*_majorana_coefficients(l, amplitudes))
-    # the root at z has Bloch vector (2z, 1 - |z|^2) / (1 + |z|^2); outside
-    # the unit disc it is written in u = 1/z, so that z = inf is u = 0
+    # the root at z has Bloch vector (2z, 1 - |z|^2) / (1 + |z|^2) = (v h, +-(h - 1))
+    # with h = 2 / (1 + |v|^2), for v = z inside the unit disc and v = 1/z*
+    # outside it, where z = inf is v = 0 and the sign is -
     outside = np.abs(z) > 1
-    u = np.where(outside, 1 / np.where(outside, z, 1), z)
-    s = np.abs(u) ** 2
-    xy = 2 * np.where(outside, u.conj(), u) / (1 + s)
-    height = np.where(outside, s - 1, 1 - s) / (1 + s)
-    return -np.stack([xy.real, xy.imag, height], axis=-1)
+    v = np.reciprocal(z.conj(), out=z.copy(), where=outside)
+    h = 2 / (1 + (v.real ** 2 + v.imag ** 2))
+    zeros = np.empty(z.shape + (3,))
+    zeros[..., 0] = -h * v.real
+    zeros[..., 1] = -h * v.imag
+    zeros[..., 2] = np.where(outside, h - 1, 1 - h)
+    return zeros
 
 
 def state_from_roots(roots: StellarRoots) -> PureState:
@@ -190,9 +203,19 @@ def state_from_roots(roots: StellarRoots) -> PureState:
     coefs[: len(base)] = base
     if n_south + len(base) - 1 != tl:
         raise ValueError("inconsistent root multiplicities")
-    signs = (-1.0) ** np.arange(tl, -1, -1)
-    amps_asc = coefs / (signs * np.exp(log_binom_sqrt(tl))[::-1])
-    return PureState(roots.spin, amps_asc[::-1], normalize=True)
+    return PureState(roots.spin, (coefs / _majorana_weights(tl))[::-1], normalize=True)
+
+
+@lru_cache(maxsize=1)
+def _start_grid() -> np.ndarray:
+    """Unit vectors of the 32 x 64 start grid of `closest_coherent`, uniform
+    in cos(theta) and phi, shape (2048, 3); cached, read-only."""
+    theta = np.arccos(np.linspace(1, -1, 32))[:, None]
+    phi = 2 * pi * np.arange(64) / 64
+    grid = np.stack(np.broadcast_arrays(np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)),
+                    axis=-1).reshape(-1, 3)
+    grid.flags.writeable = False
+    return grid
 
 
 def closest_coherent(psi: PureState) -> tuple[SphereDirection, float]:
@@ -209,10 +232,7 @@ def closest_coherent(psi: PureState) -> tuple[SphereDirection, float]:
     """
     l = psi.spin
     z = husimi_zeros(l, psi.amplitudes[None])[0]
-    theta = np.arccos(np.linspace(1, -1, 32))[:, None]
-    phi = 2 * pi * np.arange(64) / 64
-    grid = np.stack(np.broadcast_arrays(np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)),
-                    axis=-1).reshape(-1, 3)
+    grid = _start_grid()
     # a zero on a node gives t <= 0 there, which never wins
     with np.errstate(divide="ignore"):
         F = np.log(np.maximum(1 - grid @ z.T, 0)).sum(axis=1)

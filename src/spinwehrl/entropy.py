@@ -1,12 +1,17 @@
 """Entropy functionals: von Neumann, POVM, Wehrl, closed forms, Renyi moments.
 
-Pure-state Wehrl entropies and their gradients are exact, from the Husimi zeros.
-The mixed-state Wehrl integral, also the pure route's oracle, is evaluated by
+Pure-state Wehrl entropies and their gradients are exact, from the Husimi zeros,
+and so is the Wehrl entropy of a rank-1 density matrix. The Wehrl integral of
+any other state, also the exact route's fallback and oracle, is evaluated by
 Gauss-Legendre x uniform-phi quadrature with node doubling until successive
-values agree to the requested tolerance. Each level is evaluated ring by ring:
-on a theta-ring the Husimi function is a trigonometric polynomial of degree 2l
-in phi, so its 2l+1 Fourier coefficients and one real inverse FFT give the
-ring's values, with no complex amplitude grid.
+values agree to the requested tolerance (`wehrl_quadrature`). Each level is
+evaluated ring by ring: on a theta-ring the Husimi function is a trigonometric
+polynomial of degree 2l in phi, so its 2l+1 Fourier coefficients and one real
+inverse FFT give the ring's values, with no complex amplitude grid; f ln f
+then takes numpy's logarithm of f floored at the smallest normal float.
+State-independent tables (index tables, the harmonic fold, the exact grid and
+its Legendre kernel) are built once per spin and cached read-only, so a call
+pays only for its own state.
 Integer Renyi moments are polynomial integrands, so they are integrated
 exactly at a quadrature order derived from the degree, on the same rings. The
 same moments also come in closed form from the projection of rho^(x)n onto its
@@ -21,7 +26,6 @@ from functools import lru_cache
 from math import comb, log
 
 import numpy as np
-from scipy.special import xlogy
 
 from .coherent import amplitude_grid, husimi_zeros, radial_table
 from .errors import ConvergenceError, ResourceGuardError
@@ -47,6 +51,7 @@ _WEHRL_CHUNK = 256
 #: Most multiply-adds `renyi_wehrl_projector` may spend on its polynomial
 #: power, about a second on a 2-CPU desk machine.
 RENYI_PROJECTOR_WORK = 100_000_000
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -110,6 +115,34 @@ def _level_bytes(l: SpinLabel, spec: QuadratureSpec) -> int:
     return 8 * (spec.n_theta * (d * d + 16 * d + spec.n_phi) + 10 * d * d)
 
 
+@lru_cache(maxsize=64)
+def _ring_tables(l: SpinLabel, n_phi: int):
+    """State-independent tables of `_husimi_rings` for spin l on rings of
+    n_phi nodes; cached, read-only, O(d^2) entries whatever the ring count:
+
+    * at [k, a], the flat index of rho[a, a+k] in rho.ravel() with one zero
+      appended, pointing at that zero where a + k >= d;
+    * at [k, a], the index min(a + k, d - 1) of the second radial factor;
+    * the real fold, shape (2d, 2 bins), that takes (Re c_k, Im c_k), k =
+      0..2l, interleaved, to n_phi times the half spectrum, interleaved: c_k
+      and its conjugate c_-k = c_k* land on the bins k and -k modulo n_phi,
+      of which the bins 0..n_phi/2 are kept, the others holding conjugates."""
+    d, n = l.dim, n_phi
+    k, a = np.indices((d, d))
+    flat = np.where(a + k < d, a * (d + 1) + k, d * d)
+    b = np.minimum(a + k, d - 1)
+    bins = min(l.twice_l, n // 2) + 1
+    fold = np.zeros((d, 2, bins, 2))  # [k, Re/Im of c_k, bin, Re/Im of the bin]
+    for h in range(d):
+        for sign in (1, -1) if h else (1,):  # c_h, then c_-h = c_h*
+            if (j := sign * h % n) < bins:
+                fold[h, :, j] += n * np.diag([1, sign])
+    fold = fold.reshape(2 * d, 2 * bins)
+    for x in (flat, b, fold):
+        x.flags.writeable = False
+    return flat, b, fold
+
+
 def _husimi_rings(rho: DensityMatrix, spec: QuadratureSpec):
     """Husimi function on the grid `spec`, shape (n_theta, n_phi), clamped into
     [0, 1], and the rings' weights.
@@ -117,36 +150,44 @@ def _husimi_rings(rho: DensityMatrix, spec: QuadratureSpec):
     On the ring theta_t, Q = sum_|k|<=2l c_k e^(i k phi) with c_k = sum_m
     r_m r_(m-k) rho[m, m-k] for the radial table r (m descending), so one real
     inverse FFT gives every ring. Harmonics past n_phi / 2 are folded modulo
-    n_phi, which is all the grid sees of them. ResourceGuardError, before any
-    allocation, when the level needs more than MAX_GRID_BYTES."""
+    n_phi, which is all the grid sees of them. Every product is real. The
+    index tables and the fold come from `_ring_tables`. ResourceGuardError,
+    before any allocation, when the level needs more than MAX_GRID_BYTES."""
     l, n = rho.spin, spec.n_phi
     if (need := _level_bytes(l, spec)) > MAX_GRID_BYTES:
         raise ResourceGuardError(f"quadrature level ({spec.n_theta}, {n}) at twice_l={l.twice_l} needs "
                                  f"{need} bytes, over the {MAX_GRID_BYTES}-byte guard")
     r, w_theta = radial_table(l, spec.n_theta)
+    flat, b, fold = _ring_tables(l, n)
     d = l.dim
-    k, a = np.indices((d, d))
-    b = np.minimum(a + k, d - 1)
-    diagonals = np.where(a + k < d, rho.matrix[a, b], 0)  # [k, a] = rho[a, a+k]
+    diagonals = np.append(rho.matrix, 0).view(float).reshape(-1, 2)[flat]  # [k, a] = (Re, Im) rho[a, a+k]
     pairs = r.T[b]  # [k, a, t] = r_(a+k) on ring t
     pairs *= r.T  # ... times r_a
-    # c_k = sum_a r_a r_(a+k) rho[a, a+k] as one real batched product over (Re, Im) of rho
-    re_im = np.stack([diagonals.real, diagonals.imag], axis=1) @ pairs  # (k, 2, t)
-    c = (re_im[:, 0] + 1j * re_im[:, 1]).T  # (n_theta, 2l+1), k = 0 .. 2l
-    harmonics = np.concatenate([c[:, :0:-1].conj(), c], axis=1)  # k = -2l .. 2l
-    bins = np.arange(-l.twice_l, l.twice_l + 1) % n
-    kept = bins <= n // 2  # the other bins hold the conjugates of these
-    half = np.zeros((spec.n_theta, min(l.twice_l, n // 2) + 1), dtype=complex)
-    np.add.at(half, (slice(None), bins[kept]), n * harmonics[:, kept])
+    # c_k = sum_a r_a r_(a+k) rho[a, a+k] as one real batched product, then folded
+    c = np.matmul(diagonals.transpose(0, 2, 1), pairs).reshape(2 * d, spec.n_theta)  # [(k, Re/Im), t]
+    del pairs  # freed before f is allocated, which keeps the level's peak down
+    half = (c.T @ fold).view(complex)  # (n_theta, bins)
     f = np.fft.irfft(half, n, axis=1)  # zero-pads the half spectrum to n // 2 + 1 bins
     return np.clip(f, 0.0, 1.0, out=f), w_theta
 
 
 def wehrl_fixed(rho: DensityMatrix, spec: QuadratureSpec) -> float:
     """Wehrl entropy on the one grid `spec`, without refinement: the rings'
-    Husimi values from their Fourier coefficients, then the weighted f ln f."""
+    Husimi values from their Fourier coefficients, then the weighted f ln f
+    with f ln f := 0 at f = 0. The logarithm's one temporary goes in blocks of
+    at most n_theta d (d + 12) values, inside the d^2 + 16 d values per ring
+    that `_level_bytes` counts beyond f and frees before f ln f."""
     f, w_theta = _husimi_rings(rho, spec)
-    return float(-rho.spin.dim * (w_theta @ xlogy(f, f, out=f).sum(axis=1)) / spec.n_phi)
+    d, (n_theta, n_phi) = rho.spin.dim, f.shape
+    rows = max(1, n_theta * d * (d + 12) // n_phi)
+    log_f = np.empty((min(rows, n_theta), n_phi))
+    sums = np.empty(n_theta)
+    for start in range(0, n_theta, rows):
+        block = f[start:start + rows]
+        log = log_f[:len(block)]
+        np.log(np.maximum(block, _TINY, out=log), out=log)
+        np.vecdot(block, log, out=sums[start:start + rows])
+    return float(-d * (w_theta @ sums) / n_phi)
 
 
 def starting_spec(twice_l: int) -> QuadratureSpec:
@@ -155,10 +196,24 @@ def starting_spec(twice_l: int) -> QuadratureSpec:
 
 
 def wehrl(rho: DensityMatrix, spec: QuadratureSpec | None = None) -> float:
-    """Wehrl entropy -(2l+1) \\int dOmega/4pi rho(Omega) ln rho(Omega) by node
-    doubling until two levels agree to spec.tol; each level is `wehrl_fixed`,
-    ring by ring. ConvergenceError, with the last difference and grid, comes
-    before a level would pass MAX_N_THETA or allocate more than MAX_GRID_BYTES."""
+    """Wehrl entropy -(2l+1) \\int dOmega/4pi rho(Omega) ln rho(Omega). A rank-1
+    rho, whose second-largest eigenvalue is at most EIGENVALUE_CLAMP, is the
+    pure state in its column at the largest diagonal entry and takes the exact
+    `wehrl_pure` (with `spec` for its fallback); any other takes
+    `wehrl_quadrature`. Rank 1 is where the Husimi function has zeros, and its
+    quadrature levels converge slowly and may agree by chance."""
+    eigenvalues = rho.eigenvalues
+    if len(eigenvalues) > 1 and eigenvalues[-2] <= EIGENVALUE_CLAMP:
+        column = rho.matrix[:, np.argmax(rho.matrix.diagonal().real)]
+        return wehrl_pure(PureState(rho.spin, column, normalize=True), spec)
+    return wehrl_quadrature(rho, spec)
+
+
+def wehrl_quadrature(rho: DensityMatrix, spec: QuadratureSpec | None = None) -> float:
+    """Wehrl entropy of any rho by node doubling until two levels agree to
+    spec.tol; each level is `wehrl_fixed`, ring by ring. ConvergenceError,
+    with the last difference and grid, comes before a level would pass
+    MAX_N_THETA or allocate more than MAX_GRID_BYTES."""
     spec = spec or starting_spec(rho.spin.twice_l)
     prev, diff, last = np.inf, np.inf, None
     while spec.n_theta <= MAX_N_THETA and _level_bytes(rho.spin, spec) <= MAX_GRID_BYTES:
@@ -185,9 +240,9 @@ def wehrl_pure_batch(l: SpinLabel, amplitudes: np.ndarray,
     lambda_k (2k+1) P_k(t), lambda_0 = -1, lambda_k = -1/(k(k+1)). The degree-4l
     integrand is exact on the (2l+1) x (4l+1) grid, where K normalizes the
     product. A state whose product misses f there by EXACT_RESIDUAL_TOL or
-    more takes `wehrl(rho, spec)` instead, once every chunk's arrays are
-    released. Rows go in chunks of at most _WEHRL_CHUNK that stay within
-    MAX_GRID_BYTES, whatever their number."""
+    more takes `wehrl_quadrature(rho, spec)` instead, once every chunk's
+    arrays are released. Rows go in chunks of at most _WEHRL_CHUNK that stay
+    within MAX_GRID_BYTES, whatever their number."""
     amplitudes = np.asarray(amplitudes, dtype=complex)
     values = np.empty(len(amplitudes))
     grid, row = _exact_bytes(l)
@@ -195,7 +250,7 @@ def wehrl_pure_batch(l: SpinLabel, amplitudes: np.ndarray,
     for start in range(0, len(amplitudes), chunk):
         values[start:start + chunk] = _exact_wehrl(l, amplitudes[start:start + chunk])[0]
     for i in np.flatnonzero(np.isnan(values)):
-        values[i] = wehrl(PureState(l, amplitudes[i], normalize=True).density(), spec)
+        values[i] = wehrl_quadrature(PureState(l, amplitudes[i], normalize=True).density(), spec)
     return values
 
 
@@ -210,7 +265,7 @@ def wehrl_pure_gradient(l: SpinLabel, v) -> tuple[float, np.ndarray]:
     c = w * (1 + log_f[0])
     grad = -(l.dim / np.vdot(v, v).real) * (np.einsum("n,ni->i", c * a[0], V) - v * (c @ f[0]))
     if np.isnan(values[0]):
-        values[0] = wehrl(PureState(l, v, normalize=True).density())
+        values[0] = wehrl_quadrature(PureState(l, v, normalize=True).density())
     return float(values[0]), grad
 
 
@@ -224,14 +279,17 @@ def _exact_bytes(l: SpinLabel) -> tuple[int, int]:
 
 @lru_cache(maxsize=32)
 def _exact_grid(l: SpinLabel):
-    """Amplitudes V, weights w and unit vectors of the nodes of the exact
-    grid of spin l; cached per spin, read-only."""
+    """Amplitudes V, weights w and unit vectors, shape (3, nodes), of the
+    nodes of the exact grid of spin l, and the Legendre kernel lambda_k (2k+1),
+    k = 0..2l, of `wehrl_pure_batch`; cached per spin, read-only."""
     spec = exact_grid(l.twice_l)
     V, w = amplitude_grid(l, spec)
-    points = sphere_points(spec)
-    for x in (V, w, points):
+    points = np.ascontiguousarray(sphere_points(spec).T)
+    k = np.arange(l.twice_l + 1)
+    kernel = -(2 * k + 1) / np.maximum(k * (k + 1), 1)
+    for x in (V, w, points, kernel):
         x.flags.writeable = False
-    return V, w, points
+    return V, w, points, kernel
 
 
 def _exact_wehrl(l: SpinLabel, amplitudes: np.ndarray):
@@ -245,15 +303,13 @@ def _exact_wehrl(l: SpinLabel, amplitudes: np.ndarray):
     if (need := grid + len(amplitudes) * row) > MAX_GRID_BYTES:
         raise ResourceGuardError(f"exact Wehrl grid at twice_l={l.twice_l} needs {need} bytes, "
                                  f"over the {MAX_GRID_BYTES}-byte guard")
-    V, w, points = _exact_grid(l)
+    V, w, points, kernel = _exact_grid(l)
     a = np.einsum("sj,nj->sn", amplitudes.conj(), V).conj()
     f = (a.real ** 2 + a.imag ** 2) / np.einsum("sj,sj->s", amplitudes.conj(), amplitudes).real[:, None]
-    t = husimi_zeros(l, amplitudes) @ points.T  # (states, 2l, nodes)
+    t = husimi_zeros(l, amplitudes) @ points  # (states, 2l, nodes)
     product = np.prod((1 - t) / 2, axis=1)
     K = 1 / (l.dim * product @ w)
     residual = np.max(np.abs(f - K[:, None] * product), axis=1)
-    k = np.arange(l.twice_l + 1)
-    kernel = -(2 * k + 1) / np.maximum(k * (k + 1), 1)  # lambda_k (2k+1)
     log_f = np.log(K)[:, None] + np.polynomial.legendre.legval(t, kernel).sum(axis=1)
     values = -l.dim * np.einsum("sn,sn,n->s", f, log_f, w)
     values[~(residual < EXACT_RESIDUAL_TOL)] = np.nan

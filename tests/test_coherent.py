@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from spinwehrl import coherent
 from spinwehrl.coherent import (
     _amplitudes,
     closest_coherent,
@@ -193,3 +194,35 @@ def test_coherent_state_past_the_float_range_is_refused():
     # come back with every amplitude NaN
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="not finite"):
         coherent_state(SpinLabel(2100), SphereDirection(1.0, 0.5))
+
+
+def chart_oracle(z):
+    """The Majorana roots z to the antipodal unit vectors, through u = 1/z
+    outside the unit disc (so z = inf is u = 0), one np.where per branch."""
+    outside = np.abs(z) > 1
+    u = np.where(outside, 1 / np.where(outside, z, 1), z)
+    s = np.abs(u) ** 2
+    xy = 2 * np.where(outside, u.conj(), u) / (1 + s)
+    height = np.where(outside, s - 1, 1 - s) / (1 + s)
+    return -np.stack([xy.real, xy.imag, height], axis=-1)
+
+
+def amplitudes_of_polynomial(tl, asc):
+    """Amplitudes, m descending, whose Majorana polynomial has the ascending
+    coefficients `asc`."""
+    return (np.asarray(asc, dtype=complex) / coherent._majorana_weights(tl))[::-1]
+
+
+@pytest.mark.parametrize("tl", [1, 2, 3, 6])
+def test_husimi_zeros_match_the_chart_oracle(tl):
+    # Dicke states put their roots at z = 0 and z = inf; z^2l = e^(i a) puts
+    # them on |z| = 1; Haar states have roots inside and outside the disc
+    l = SpinLabel(tl)
+    rng = np.random.default_rng(60 + tl)
+    on_circle = [amplitudes_of_polynomial(tl, [-np.exp(1j * a)] + [0] * (tl - 1) + [1]) for a in (0.0, 0.3)]
+    haar = [random_pure(l, rng).amplitudes for _ in range(6)]
+    amps = np.array([*np.eye(l.dim, dtype=complex), *on_circle, *haar])
+    z = coherent._majorana_roots(*coherent._majorana_coefficients(l, amps))
+    assert np.isinf(z).any() and (z == 0).any() and (np.abs(np.abs(z) - 1) < 1e-12).any()
+    assert ((np.abs(z) > 1) & np.isfinite(z)).any()
+    assert np.max(np.abs(husimi_zeros(l, amps) - chart_oracle(z))) <= 1e-15

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import xlogy
 
-from spinwehrl import entropy
+from spinwehrl import coherent, entropy
 from spinwehrl.coherent import StellarRoots, amplitude_grid, coherent_state, radial_table, state_from_roots
 from spinwehrl.entropy import (
     chordal_data,
@@ -18,6 +18,7 @@ from spinwehrl.entropy import (
     wehrl_closed,
     wehrl_pure,
     wehrl_pure_batch,
+    wehrl_quadrature,
 )
 from spinwehrl.errors import ConvergenceError, QuadratureOrderError, ResourceGuardError
 from spinwehrl.quadrature import QuadratureSpec
@@ -81,9 +82,9 @@ EARLY_STOP_STATE = PureState(SpinLabel(1), [0.51100739 - 0.59894687j, 0.40017202
                              normalize=True)
 
 
-@pytest.mark.xfail(strict=True, reason="adaptive quadrature stops on two coarse levels "
-                   "(32x64, 64x128) that agree by chance, 1.22e-8 above the exact value")
 def test_coherent_wehrl_early_stop_spin_half():
+    # rank 1 takes the exact route; the quadrature would stop on two coarse
+    # levels (32x64, 64x128) that agree by chance, 1.22e-8 above the value
     assert wehrl(EARLY_STOP_STATE.density()) == pytest.approx(0.5, abs=1e-8)
 
 
@@ -98,7 +99,7 @@ ORACLE_SPEC = QuadratureSpec(32, 64, 1e-9)
 
 
 def quadrature_oracle(psi):
-    return wehrl(psi.density(), ORACLE_SPEC)
+    return wehrl_quadrature(psi.density(), ORACLE_SPEC)
 
 
 @pytest.mark.parametrize("tl", range(1, 9))
@@ -163,7 +164,7 @@ def test_gradient_fallback_keeps_the_root_gradient(monkeypatch):
     monkeypatch.setattr(entropy, "EXACT_RESIDUAL_TOL", 0.0)
     fallback, same = entropy.wehrl_pure_gradient(spin, v)
     assert np.array_equal(same, grad)
-    assert fallback == wehrl(PureState(spin, v, normalize=True).density())
+    assert fallback == wehrl_quadrature(PureState(spin, v, normalize=True).density())
     assert fallback == pytest.approx(value, abs=1e-9)
 
 
@@ -184,7 +185,7 @@ def test_wehrl_byte_guard_fires_before_allocation(monkeypatch):
     monkeypatch.setattr(entropy, "MAX_GRID_BYTES", 2 ** 24)
     monkeypatch.setattr(entropy, "_husimi_rings", recording_rings)
     with pytest.raises(ConvergenceError) as err:
-        wehrl(rho, QuadratureSpec(32, 64, 1e-300))
+        wehrl_quadrature(rho, QuadratureSpec(32, 64, 1e-300))
     largest = max(entropy._level_bytes(spin, s) for s in requested)
     assert largest <= entropy.MAX_GRID_BYTES < 4 * largest
     assert requested[-1].doubled().n_theta <= entropy.MAX_N_THETA
@@ -312,13 +313,46 @@ def test_husimi_rings_match_dense_oracle(tl):
         assert np.max(np.abs(np.outer(w_theta, np.full(spec.n_phi, 1 / spec.n_phi)).ravel() - w)) < 1e-16
 
 
+def test_clipped_ring_level_matches_the_xlogy_oracle():
+    # near the antipode of a coherent state at twice_l = 8 the rings' values
+    # round below 0 and are clipped to exactly 0, where f ln f is 0
+    spin, spec = SpinLabel(8), QuadratureSpec(64, 128)
+    rho = coherent_state(spin, SphereDirection(1.1, 0.7)).density()
+    f, w_theta = entropy._husimi_rings(rho, spec)
+    assert (f == 0).any()
+    value = entropy.wehrl_fixed(rho, spec)
+    assert np.isfinite(value)
+    assert abs(value + spin.dim * (w_theta @ xlogy(f, f).sum(axis=1)) / spec.n_phi) <= 1e-15
+
+
+@pytest.mark.parametrize("cache,args", [(entropy._ring_tables, (SpinLabel(4), 7)),
+                                        (entropy._exact_grid, (SpinLabel(3),)),
+                                        (coherent._majorana_weights, (4,)), (coherent._start_grid, ())])
+def test_per_spin_caches_are_read_only_and_cleared(cache, args):
+    first = cache(*args)
+    assert all(not x.flags.writeable for x in (first if isinstance(first, tuple) else (first,)))
+    assert cache(*args) is first
+    cache.cache_clear()
+    assert cache.cache_info().currsize == 0
+    assert cache(*args) is not first
+
+
+def test_rank_one_wehrl_takes_the_exact_route(monkeypatch):
+    def no_quadrature(rho, spec=None):
+        raise AssertionError("rank-1 state sent to the quadrature")
+
+    psi = random_pure(SpinLabel(5), np.random.default_rng(28))
+    monkeypatch.setattr(entropy, "wehrl_quadrature", no_quadrature)
+    assert wehrl(psi.density()) == pytest.approx(wehrl_pure(psi), abs=1e-14)
+
+
 @pytest.mark.parametrize("tl", range(1, 9))
 def test_mixed_wehrl_and_renyi_match_dense_quadrature(tl):
     spin = SpinLabel(tl)
     rng = np.random.default_rng(40 + tl)
     for rho in (random_density(spin, rng), random_density(spin, rng, rank=1),
                 DensityMatrix.maximally_mixed(spin)):
-        assert abs(wehrl(rho) - dense_wehrl(rho)) < 1e-14
+        assert abs(wehrl_quadrature(rho) - dense_wehrl(rho)) < 1e-14
         for spec in RING_SPECS[:3]:
             f, w = dense_husimi(rho, spec)
             assert abs(entropy.wehrl_fixed(rho, spec) + spin.dim * np.sum(w * xlogy(f, f))) < 1e-14
