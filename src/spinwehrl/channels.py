@@ -21,7 +21,6 @@ from functools import lru_cache
 from math import log
 
 import numpy as np
-from scipy.linalg import eigvals_banded
 
 from .entropy import MAX_GRID_BYTES, clamp_eigenvalues, entropy_of_spectrum
 from .errors import ResourceGuardError
@@ -155,6 +154,8 @@ def projection_entropy_batch(l: SpinLabel, j: SpinLabel, rhos: np.ndarray) -> np
     (states, 2l+1, 2l+1): one banded eigensolve of each output band. States
     go in chunks of at most _BAND_CHUNK whose bands, with the weights, stay
     within MAX_GRID_BYTES."""
+    from scipy.linalg import eigvals_banded  # imported here so the package loads without scipy
+
     rhos = np.asarray(rhos)
     values = np.empty(len(rhos))
     table, state = _band_bytes(l, j)

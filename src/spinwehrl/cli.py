@@ -391,7 +391,7 @@ def build_parser() -> _Parser:
     p.add_argument("--objective", required=True, help="wehrl | angular | projection:J")
     p.add_argument("--twice-l", type=_int_at_least(0), required=True)
     p.add_argument("--samples", type=_int_at_least(1), default=200)
-    p.add_argument("--restarts", type=int, default=16)
+    p.add_argument("--restarts", type=_int_at_least(1), default=16)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_scan_conjecture)

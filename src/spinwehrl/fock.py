@@ -25,7 +25,6 @@ from functools import lru_cache
 from math import comb, perm
 
 import numpy as np
-from scipy.special import xlogy
 
 from .entropy import MAX_GRID_BYTES, clamped_spectrum
 from .errors import DecompositionError, ResourceGuardError
@@ -157,9 +156,12 @@ def coherent_condensate(space: SymmetricSpace, omega) -> np.ndarray:
         raise ResourceGuardError(f"ln i! table up to i = {space.n_bosons} needs {need} bytes, "
                                  f"over the {MAX_GRID_BYTES}-byte guard")
     occ = np.array(space.basis).reshape(space.dim, space.n_modes)
+    modulus = np.abs(omega)
+    log_modulus = np.log(modulus, out=np.full(space.n_modes, -np.inf), where=modulus > 0)
     # ln of sqrt(M! / prod_i n_i!) prod_i |omega_i|^n_i with 0 ln 0 = 0, less
     # ln sqrt(M!) and the maximum, which the normalization restores
-    log_amps = xlogy(occ, np.abs(omega)).sum(axis=1) - 0.5 * log_factorials(space.n_bosons)[occ].sum(axis=1)
+    log_powers = np.multiply(occ, log_modulus, out=np.zeros(occ.shape), where=occ > 0)
+    log_amps = log_powers.sum(axis=1) - 0.5 * log_factorials(space.n_bosons)[occ].sum(axis=1)
     amps = np.exp(log_amps - log_amps.max()) * np.exp(1j * (occ @ np.angle(omega)))
     return amps / np.linalg.norm(amps)
 

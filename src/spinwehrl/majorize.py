@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import channels, entropy
 from .coherent import closest_coherent
@@ -130,6 +129,10 @@ def minimize_entropy(l: SpinLabel, objective, restarts: int = 16, seed: int = 0)
     pair is fully deterministic. The winner is the lowest value, ties broken
     by lowest restart index.
     """
+    from scipy.optimize import minimize  # imported here so the package loads without scipy
+
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
     if l.twice_l > OPTIMIZER_MAX_TWICE_L:
         raise ValueError(f"optimizer guard: twice_l <= {OPTIMIZER_MAX_TWICE_L}")
     if isinstance(objective, tuple) and objective[1].twice_l > channels.MAX_PROJECTION_TWICE_J:
@@ -139,7 +142,7 @@ def minimize_entropy(l: SpinLabel, objective, restarts: int = 16, seed: int = 0)
     best = None
     total_iters = 0
     any_converged = False
-    for start in np.random.SeedSequence(seed).spawn(max(1, restarts)):
+    for start in np.random.SeedSequence(seed).spawn(restarts):
         x0 = np.random.default_rng(start).standard_normal(2 * d)
         res = minimize(search, x0, jac=True, method="L-BFGS-B", options=_LBFGS_OPTIONS)
         total_iters += res.nit

@@ -1,6 +1,10 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -287,6 +291,7 @@ def _log_factorials_up_to(limit: int):
     (["figure-projection", "--twice-l", "2", "--j-list", "101"], 3, None),
     (["scan-conjecture", "--objective", "wehrl", "--twice-l", "-2"], 1, None),
     (["scan-conjecture", "--objective", "wehrl", "--twice-l", "2", "--samples", "0"], 1, None),
+    (["scan-conjecture", "--objective", "wehrl", "--twice-l", "2", "--restarts", "0"], 1, None),
     (["scan-conjecture", "--objective", "angular", "--twice-l", "0"], 1, None),
     # the optimizer limit is checked before any sample is drawn
     (["scan-conjecture", "--objective", "wehrl", "--twice-l", "17"], 3, None),
@@ -356,6 +361,33 @@ def test_entropy_guards_fire_before_allocation(twice_l, which, patch, message, t
     err = capsys.readouterr().err
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
     assert message in err
+
+
+_NO_SCIPY_SCRIPT = """
+import json, sys
+import spinwehrl, spinwehrl.cli
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+loaded = {"import": scipy_modules()}
+assert spinwehrl.cli.main(["entropy", "--state", sys.argv[1], "--which", "wehrl"]) == 0
+loaded["entropy"] = scipy_modules()
+assert spinwehrl.cli.main(["sun", "--modes", "3", "--bosons", "2", "--copies", "2", "--mode", "majorize",
+                           "--samples", "20"]) == 0
+loaded["sun"] = scipy_modules()
+print(json.dumps(loaded))
+"""
+
+
+def test_package_and_light_commands_load_no_scipy(tmp_path):
+    # scipy costs several times numpy's import; only the banded eigensolve,
+    # the optimizer and expm load it, so a fresh interpreter that imports the
+    # package and runs a Wehrl entropy and a majorization test holds none of it
+    path = write_json_state(tmp_path / "psi.json", random_pure(SpinLabel(3), np.random.default_rng(2)))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, path], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert json.loads(out.stdout.splitlines()[-1]) == {"import": [], "entropy": [], "sun": []}
 
 
 def test_parser_is_built_once_and_reused(capsys, monkeypatch):

@@ -6,6 +6,7 @@ from math import factorial, prod, sqrt
 
 import numpy as np
 import pytest
+from scipy.special import xlogy
 
 from spinwehrl import fock
 from spinwehrl.channels import projection_channel
@@ -22,7 +23,7 @@ from spinwehrl.fock import (
     sun_coherent_majorization_test,
 )
 from spinwehrl.entropy import clamped_spectrum
-from spinwehrl.su2 import SpinLabel, random_pure
+from spinwehrl.su2 import SpinLabel, log_factorials, random_pure
 
 
 def random_state(space, rng):
@@ -277,6 +278,19 @@ def test_coherent_condensate_amplitudes():
     # multinomial: (1/2, 1/sqrt(2), 1/2) over basis (2,0),(1,1),(0,2)
     assert np.allclose(np.abs(v), [0.5, 1 / np.sqrt(2), 0.5], atol=1e-12)
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("omega", [[0.6, 0.48j, 0.64], [0.6, 0.0, -0.8j], [0.0, 1.0, 0.0]], ids=str)
+def test_coherent_condensate_matches_the_xlogy_form(omega):
+    # the scipy form 0 ln 0 = 0 as the oracle, also with zero components,
+    # whose masked logarithms must raise no RuntimeWarning
+    space = SymmetricSpace(3, 5)
+    omega = np.array(omega) / np.linalg.norm(omega)
+    occ = np.array(space.basis).reshape(space.dim, space.n_modes)
+    log_amps = xlogy(occ, np.abs(omega)).sum(axis=1) - 0.5 * log_factorials(space.n_bosons)[occ].sum(axis=1)
+    amps = np.exp(log_amps - log_amps.max()) * np.exp(1j * (occ @ np.angle(omega)))
+    assert np.max(np.abs(coherent_condensate(space, omega) - amps / np.linalg.norm(amps))) <= 1e-15
 
 
 @pytest.mark.parametrize("n_modes,m,k", [(2, 1, 1), (2, 2, 1), (2, 2, 2), (3, 2, 1), (3, 2, 2),

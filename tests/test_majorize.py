@@ -89,6 +89,8 @@ def test_minimize_guard():
         minimize_entropy(SpinLabel(17), "wehrl")
     with pytest.raises(ValueError, match="twice_j <= 200"):
         minimize_entropy(SpinLabel(2), ("projection", SpinLabel(201)))
+    with pytest.raises(ValueError, match="restarts must be at least 1"):
+        minimize_entropy(SpinLabel(2), "wehrl", restarts=0)
 
 
 @pytest.mark.parametrize("objective", OBJECTIVES, ids=str)

@@ -1,3 +1,4 @@
+from decimal import Decimal, localcontext
 from math import comb, factorial, lgamma, log
 
 import numpy as np
@@ -308,6 +309,30 @@ def test_log_factorials_table():
     assert np.all(np.abs(table[:171] - exact) <= 3 * np.spacing(exact))
     with pytest.raises(ValueError):
         table[5] = 0.0
+
+
+def _exact_log(k: int) -> float:
+    """ln k of an exact integer in 40-digit decimal arithmetic, from its top
+    200 bits (the bits shifted out change ln k by less than 2^-199)."""
+    shift = max(k.bit_length() - 200, 0)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        return float(Decimal(k >> shift).ln() + shift * Decimal(2).ln())
+
+
+def test_log_factorials_match_exact_logarithms():
+    # every entry within 2 ulps of ln i! of the exact integer i!, through the
+    # float factorials (i <= 170), Stirling's series and its 2^16 blocks
+    table = log_factorials(250_000)
+    exact, f = [], 1
+    for i in range(3001):
+        f *= max(i, 1)
+        exact.append(_exact_log(f))
+    exact = np.array(exact)
+    assert np.all(np.abs(table[:3001] - exact) <= 2 * np.spacing(exact))
+    for i in (10_000, 65_706, 65_707, 250_000):
+        ln = _exact_log(factorial(i))
+        assert abs(table[i] - ln) <= 2 * np.spacing(ln)
 
 
 @pytest.mark.parametrize("twice_l", [0, 1, 2, 4, 17, 100, 1001, 4000])

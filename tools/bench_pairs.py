@@ -8,7 +8,10 @@ first on even pairs and the change first on odd ones. Every run's last output
 line (the runner's JSON result) is kept. ``--out`` is read first if it exists,
 so one record can hold several workloads, and new pairs of a workload are added
 to its earlier ones. The summary gives each side's median and quartiles per
-end-to-end metric over all pairs, and the pairs the change wins.
+end-to-end metric over all pairs, the pairs the change wins, the parent's
+quartile distance (`parent_iqr`) and whether a gain may be claimed
+(`beyond_parent_iqr`): the change wins at least nine tenths of the pairs and its
+median is better than the parent's by more than that distance.
 """
 
 from __future__ import annotations
@@ -44,7 +47,11 @@ def summary(pairs: list[dict]) -> dict:
         result[name] = {side: {"median": statistics.median(v),
                                "quartiles": statistics.quantiles(v, n=4)[::2] if len(v) > 1 else v * 2}
                         for side, v in sides.items()}
+        low, high = result[name]["parent"]["quartiles"]
+        gain = sign * (result[name]["change"]["median"] - result[name]["parent"]["median"])
         result[name]["change_wins"] = f"{wins}/{len(pairs)}"
+        result[name]["parent_iqr"] = high - low
+        result[name]["beyond_parent_iqr"] = 10 * wins >= 9 * len(pairs) and gain > high - low
     result["all_correct"] = all(p[s]["correct"] for p in pairs for s in ("parent", "change"))
     return result
 
