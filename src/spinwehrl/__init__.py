@@ -44,6 +44,7 @@ from .channels import (
     projection_entropy,
     projection_entropy_batch,
     projection_entropy_pure,
+    projection_entropy_pure_batch,
     projection_kraus,
     projection_shift,
 )

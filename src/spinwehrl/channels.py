@@ -12,6 +12,14 @@ scattered into a Hermitian matrix, and the Kraus operators hold the table's
 entries. For pure inputs the (2j+1)-dimensional dual Gram matrix has the same
 nonzero spectrum and is the oracle of the band; the optimizer differentiates
 the dual Gram factor.
+
+Pure spin-1 entropies take a smaller matrix. The channel is SU(2)-covariant,
+so a pure input's output spectrum depends only on its rotation orbit, and
+every spin-1 orbit holds a real state a|1,1> + b|1,-1>, labelled by
+s = |<Theta psi|psi>| = |2 psi_+ psi_- - psi_0^2|. That state's band has only
+the diagonal and the second subdiagonal, which split by the parity of the
+column into two real tridiagonal matrices of half the size: exact, not an
+approximation, and solved by LAPACK dsterf (`projection_entropy_pure_batch`).
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from math import log
 import numpy as np
 
 from .entropy import MAX_GRID_BYTES, clamp_eigenvalues, entropy_of_spectrum
-from .errors import ResourceGuardError
+from .errors import ConvergenceError, ResourceGuardError
 from .su2 import (
     DensityMatrix,
     PureState,
@@ -149,21 +157,86 @@ def projection_output_band(l: SpinLabel, j: SpinLabel, rhos: np.ndarray) -> np.n
     return np.einsum("...ka,kac->...kc", diagonals, _band_weights(l, j))
 
 
+def _bands(l: SpinLabel, j: SpinLabel, rhos: np.ndarray):
+    """(index of the first state, output bands) of a stack of density
+    matrices, in chunks of at most _BAND_CHUNK states whose bands, with the
+    weights, stay within MAX_GRID_BYTES."""
+    table, state = _band_bytes(l, j)
+    chunk = min(_BAND_CHUNK, max(1, (MAX_GRID_BYTES - table) // state))
+    for start in range(0, len(rhos), chunk):
+        yield start, projection_output_band(l, j, rhos[start:start + chunk])
+
+
 def projection_entropy_batch(l: SpinLabel, j: SpinLabel, rhos: np.ndarray) -> np.ndarray:
     """Projection entropies of a stack of (2l+1)^2 density matrices, shape
-    (states, 2l+1, 2l+1): one banded eigensolve of each output band. States
-    go in chunks of at most _BAND_CHUNK whose bands, with the weights, stay
-    within MAX_GRID_BYTES."""
+    (states, 2l+1, 2l+1): one banded eigensolve of each output band, in the
+    chunks of `_bands`. This is the general route and the oracle of
+    `projection_entropy_pure_batch`, which solves pure spin-1 inputs on two
+    real half-size tridiagonals instead."""
     from scipy.linalg import eigvals_banded  # imported here so the package loads without scipy
 
     rhos = np.asarray(rhos)
     values = np.empty(len(rhos))
-    table, state = _band_bytes(l, j)
-    chunk = min(_BAND_CHUNK, max(1, (MAX_GRID_BYTES - table) // state))
-    for start in range(0, len(rhos), chunk):
-        bands = projection_output_band(l, j, rhos[start:start + chunk])
+    for start, bands in _bands(l, j, rhos):
         for i, band in enumerate(bands, start):
             values[i] = entropy_of_spectrum(clamp_eigenvalues(eigvals_banded(band, lower=True)))
+    return values
+
+
+def _spin1_canonical(amplitudes: np.ndarray) -> np.ndarray:
+    """Real density matrices (N(1 + r)/2, 0, Ns/2; 0, 0, 0; Ns/2, 0, N(1 - r)/2)
+    of the states a|1,1> + b|1,-1> in the rotation orbits of the spin-1 rows
+    of `amplitudes`, of any norm N: s = |2 psi_+ psi_- - psi_0^2| / N =
+    |<Theta psi|psi>| is the orbit's one label and r = sqrt((1 - s)(1 + s))."""
+    up, zero, down = amplitudes.T
+    norm = np.einsum("si,si->s", amplitudes.conj(), amplitudes).real
+    ns = np.minimum(np.abs(2 * up * down - zero * zero), norm)
+    nr = np.sqrt((norm - ns) * (norm + ns))
+    rhos = np.zeros((len(amplitudes), 3, 3))
+    rhos[:, 0, 0] = (norm + nr) / 2
+    rhos[:, 2, 2] = (norm - nr) / 2
+    rhos[:, 0, 2] = rhos[:, 2, 0] = ns / 2
+    return rhos
+
+
+def _parity_eigenvalues(band: np.ndarray) -> np.ndarray:
+    """Eigenvalues of an output whose band has only its k = 0 and k = 2 rows:
+    out[c+2, c] couples column c to c + 2 alone, so the even and the odd
+    columns form two real symmetric tridiagonal matrices, each solved by
+    LAPACK dsterf. ConvergenceError when dsterf fails."""
+    from scipy.linalg.lapack import dsterf
+
+    halves = []
+    for parity in (0, 1):
+        d = band[0, parity::2]
+        # band[2, c] is 0 from c = D-2 on; dsterf takes max(n-1, 1) off-diagonal entries
+        values, info = dsterf(d, band[2, parity::2][:max(len(d) - 1, 1)])
+        if info:
+            raise ConvergenceError(f"dsterf left {info} off-diagonal entries of a size-{len(d)} "
+                                   "tridiagonal unconverged")
+        halves.append(values)
+    return np.concatenate(halves)
+
+
+def projection_entropy_pure_batch(l: SpinLabel, j: SpinLabel, amplitudes: np.ndarray) -> np.ndarray:
+    """Projection entropies of pure states, the rows of `amplitudes`.
+
+    The channel is SU(2)-covariant, so a pure input's output spectrum depends
+    only on its rotation orbit. At spin 1 every orbit holds a real state
+    a|1,1> + b|1,-1> (`_spin1_canonical`, no roots and no eigensolve), whose
+    output band has only its k = 0 and k = 2 rows, so it splits by the
+    parity of the column into two real symmetric tridiagonal matrices of
+    sizes ceil(D/2) and floor(D/2), D = 2(l+j)+1 (`_parity_eigenvalues`).
+    The entropy is even in r (swapping a and b is a rotation), so the digits
+    r loses where s -> 1 do not reach it. Every other spin takes
+    `projection_entropy_batch` on the outer products."""
+    amplitudes = np.asarray(amplitudes, dtype=complex)
+    if l.twice_l != 2:
+        return projection_entropy_batch(l, j, amplitudes[:, :, None] * amplitudes[:, None, :].conj())
+    values = np.empty(len(amplitudes))
+    for start, bands in _bands(l, j, _spin1_canonical(amplitudes)):
+        for i, band in enumerate(bands, start):
+            values[i] = entropy_of_spectrum(clamp_eigenvalues(_parity_eigenvalues(band)))
     return values
 
 
@@ -173,9 +246,9 @@ def projection_entropy(rho: DensityMatrix, j: SpinLabel) -> float:
 
 
 def projection_entropy_pure(psi: PureState, j: SpinLabel) -> float:
-    """Projection entropy of a pure state, from the band of psi psi^dag."""
-    a = psi.amplitudes
-    return float(projection_entropy_batch(psi.spin, j, np.outer(a, a.conj())[None])[0])
+    """Projection entropy of a pure state by `projection_entropy_pure_batch`:
+    two real tridiagonal solves at spin 1, the band of psi psi^dag otherwise."""
+    return float(projection_entropy_pure_batch(psi.spin, j, psi.amplitudes[None])[0])
 
 
 def projection_shift(l: SpinLabel, j: SpinLabel) -> float:

@@ -230,10 +230,9 @@ def cmd_figure_projection(args) -> int:
         fh.write(",".join(header) + "\n")
         for start, amp in _sample_chunks(l, args.samples, args.seed):
             s_w = entropy.wehrl_pure_batch(l, amp)
-            rhos = amp[:, :, None] * amp[:, None, :].conj()
             columns = [s_w]
             for j in j_labels:
-                shifted = channels.projection_entropy_batch(l, j, rhos) + channels.projection_shift(l, j)
+                shifted = channels.projection_entropy_pure_batch(l, j, amp) + channels.projection_shift(l, j)
                 columns += [shifted, s_w - shifted]
             for i, row in enumerate(np.column_stack(columns), start):
                 fh.write(",".join([str(i)] + [_fmt(float(x)) for x in row]) + "\n")
@@ -277,13 +276,13 @@ def _angular_entropy(psi: PureState) -> float:
 
 def _sample_values(l: SpinLabel, objective, amp: np.ndarray) -> np.ndarray:
     """Objective values of the pure states in the rows of `amp`, from the
-    library's value routes: the exact Wehrl batch, the banded projection
+    library's value routes: the exact Wehrl batch, the pure-state projection
     batch or the angular Gram spectrum."""
     if objective == "wehrl":
         return entropy.wehrl_pure_batch(l, amp)
     if objective == "angular":
         return np.array([_angular_entropy(PureState(l, a)) for a in amp])
-    return channels.projection_entropy_batch(l, objective[1], amp[:, :, None] * amp[:, None, :].conj())
+    return channels.projection_entropy_pure_batch(l, objective[1], amp)
 
 
 def _coherent_benchmark(l: SpinLabel, objective) -> float:

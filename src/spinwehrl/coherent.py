@@ -22,6 +22,7 @@ from .su2 import (
     PureState,
     SphereDirection,
     SpinLabel,
+    generators,
     geodesic_angle,
     log_binom_sqrt,
 )
@@ -218,17 +219,43 @@ def _start_grid() -> np.ndarray:
     return grid
 
 
+def _newton_ascent(n: np.ndarray, derivatives, tol: float, max_steps: int = 50) -> np.ndarray:
+    """Unit vector that maximizes a function on the sphere, by Newton steps
+    from n. `derivatives(n)` gives the tangent gradient and the Riemannian
+    Hessian at n. Each step uses |eigenvalues| of the Hessian, an ascent
+    direction also where it is not negative definite, and moves at most
+    0.2 rad (two spacings of the start grid) along a great circle, in no
+    chart and so with no pole to avoid; it stops once the gradient is below
+    tol."""
+    for _ in range(max_steps):
+        g, hess = derivatives(n)
+        if np.linalg.norm(g) <= tol:
+            break
+        lam, U = np.linalg.eigh(hess + np.outer(n, n))  # n n^T keeps n out of the step
+        step = U @ (U.T @ g / np.maximum(np.abs(lam), 1e-300))
+        angle = min(np.linalg.norm(step), 0.2)
+        n = np.cos(angle) * n + np.sin(angle) * step / np.linalg.norm(step)
+        n /= np.linalg.norm(n)  # else |n| drifts and the tangent projector with it
+    return n
+
+
+def _angles(n: np.ndarray) -> tuple[float, float]:
+    """(theta, phi) of the unit vector n, accurate at the poles too."""
+    return float(np.arctan2(np.hypot(n[0], n[1]), n[2])), float(np.arctan2(n[1], n[0]))
+
+
 def closest_coherent(psi: PureState) -> tuple[SphereDirection, float]:
     """Coherent state of maximal Husimi overlap with psi.
 
     The Husimi function is f(n) = K prod_i (1 - n.z_i)/2 over its zeros z_i
-    (`husimi_zeros`), so n maximizes F(n) = sum_i ln(1 - n.z_i): Newton steps
-    on the unit sphere, in no chart and so with no pole to avoid, from the
-    maximum of a coarse 32x64 grid. The fidelity is the amplitude overlap at
-    the n found. When the maximum is degenerate (e.g. rotationally symmetric
-    states) any one maximizer is returned. The search is as accurate as the
-    zeros: from twice_l ~ 90 their eigensolve error moves the maximum, by up
-    to 3e-3 in fidelity on Haar states.
+    (`husimi_zeros`), so n nearly maximizes F(n) = sum_i ln(1 - n.z_i),
+    found by Newton steps from the maximum of a coarse 32x64 grid. F is only
+    as accurate as the zeros, whose eigensolve error moves its maximum from
+    twice_l ~ 90 on (by 5.6e-7 in fidelity on a Haar state at twice_l = 90),
+    so Newton steps on ln |<n|psi>|^2 itself, from the amplitudes, follow. The
+    fidelity is the amplitude overlap at the n found. When the maximum is
+    degenerate (e.g. rotationally symmetric states) any one maximizer is
+    returned.
     """
     l = psi.spin
     z = husimi_zeros(l, psi.amplitudes[None])[0]
@@ -236,21 +263,33 @@ def closest_coherent(psi: PureState) -> tuple[SphereDirection, float]:
     # a zero on a node gives t <= 0 there, which never wins
     with np.errstate(divide="ignore"):
         F = np.log(np.maximum(1 - grid @ z.T, 0)).sum(axis=1)
-    n = grid[np.argmax(F)]
-    for _ in range(50):
+
+    def zeros_derivatives(n):
         t = 1 - z @ n
         g = -(z.T @ (1 / t))
         P = np.eye(3) - np.outer(n, n)
-        if np.linalg.norm(pg := P @ g) <= 1e-13:
-            break
-        # Newton step with |eigenvalues| of the Riemannian Hessian, an ascent
-        # direction also where it is not negative definite, of at most
-        # 0.2 rad (two grid spacings); n n^T keeps n out of the step
-        hess = P @ (-(z.T / t**2) @ z - (n @ g) * np.eye(3)) @ P + np.outer(n, n)
-        lam, U = np.linalg.eigh(hess)
-        step = U @ (U.T @ pg / np.maximum(np.abs(lam), 1e-300))
-        angle = min(np.linalg.norm(step), 0.2)
-        n = np.cos(angle) * n + np.sin(angle) * step / np.linalg.norm(step)
-        n /= np.linalg.norm(n)  # else |n| drifts and P stops being a projector
-    direction = SphereDirection(np.arccos(np.clip(n[2], -1.0, 1.0)), np.arctan2(n[1], n[0]))
+        return P @ g, P @ (-(z.T / t**2) @ z - (n @ g) * np.eye(3)) @ P
+
+    # exp(i t.L)|n> is the coherent state at n turned by the angle |t| about
+    # t, so for t normal to n, c(t) = <n| exp(i t.L) |psi> = c (1 + i t.w -
+    # t^T (M/c) t / 2 + ...) with w = <n|L|psi>/c and M the symmetrized
+    # <n|L_k L_l|psi>, and ln|c(t)|^2 has gradient -2 Im w and Hessian
+    # 2 Re(w w^T - M/c) in t; t moves n along t x n = J t
+    L = np.array(generators(l)[3:])
+    L_psi = L @ psi.amplitudes
+    LL_psi = L @ L_psi.T  # [k, :, m] = L_k L_m psi
+
+    def overlap_derivatives(n):
+        theta, phi = _angles(n)
+        a = _amplitudes(l, np.array([theta]), np.array([phi]))[0, 0].conj()
+        c = a @ psi.amplitudes
+        w = (L_psi @ a) / c
+        M = (a @ LL_psi) / c
+        J = np.array([[0, n[2], -n[1]], [-n[2], 0, n[0]], [n[1], -n[0], 0]])  # J t = t x n
+        return J @ (-2 * w.imag), J @ (2 * (np.outer(w, w) - (M + M.T) / 2).real) @ J.T
+
+    # both gradients grow with 2l, and so does their rounding: 1e-12 at twice_l = 400
+    tol = 1e-13 * l.dim
+    n = _newton_ascent(_newton_ascent(grid[np.argmax(F)], zeros_derivatives, tol), overlap_derivatives, tol)
+    direction = SphereDirection(*_angles(n))
     return direction, psi.fidelity(coherent_state(l, direction))

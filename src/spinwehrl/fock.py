@@ -71,12 +71,10 @@ class SymmetricSpace:
         return comb(self.n_bosons + self.n_modes - 1, self.n_modes - 1)
 
     def index(self, occ: tuple) -> int:
-        return _basis_index(self.n_modes, self.n_bosons)[occ]
-
-
-@lru_cache(maxsize=None)
-def _basis_index(n_modes: int, n_bosons: int) -> dict:
-    return {occ: i for i, occ in enumerate(_occupation_basis(n_modes, n_bosons))}
+        """Position of the occupation tuple `occ` in `basis`."""
+        if len(occ) != self.n_modes or min(occ) < 0 or sum(occ) != self.n_bosons:
+            raise KeyError(occ)
+        return int(_occupation_rank(np.array([occ]), self.n_bosons)[0])
 
 
 def _occupation_rank(occ: np.ndarray, n_bosons: int) -> np.ndarray:

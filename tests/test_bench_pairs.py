@@ -33,3 +33,24 @@ def test_summary_applies_the_acceptance_rule():
     out = bench_pairs.summary(pairs)
     assert out["items_per_s"]["change_wins"] == "8/10" and out["items_per_s"]["beyond_parent_iqr"] is False
     assert out["all_correct"] is False
+
+
+def test_regressed_reads_each_metric_bound():
+    # the declared bounds are read, not edited: items/s and set-up both 0.25
+    declared = bench_pairs.end_to_end_metrics()
+    assert declared["items_per_s"]["better"] == "higher" and declared["setup_s"]["better"] == "lower"
+    assert declared["items_per_s"]["bound"] == declared["setup_s"]["bound"] == 0.25
+    # medians 100 -> 76 items/s (24% worse) and 1.0 -> 1.26 s (26% worse)
+    pairs = [{"parent": _run(100.0, 1.0), "change": _run(76.0, 1.26)} for _ in range(3)]
+    out = bench_pairs.summary(pairs)
+    assert out["items_per_s"]["regressed"] is False
+    assert out["setup_s"]["regressed"] is True
+    # 74 items/s is beyond the bound; a gain never regresses
+    pairs = [{"parent": _run(100.0, 1.0), "change": _run(74.0, 0.5)} for _ in range(3)]
+    out = bench_pairs.summary(pairs)
+    assert out["items_per_s"]["regressed"] is True and out["setup_s"]["regressed"] is False
+    # a tighter bound passed in place of the declared ones
+    tight = {name: dict(m, bound=0.1) for name, m in declared.items()}
+    pairs = [{"parent": _run(100.0, 1.0), "change": _run(88.0, 1.05)} for _ in range(3)]
+    out = bench_pairs.summary(pairs, tight)
+    assert out["items_per_s"]["regressed"] is True and out["setup_s"]["regressed"] is False

@@ -14,6 +14,7 @@ from spinwehrl.channels import (
     projection_entropy,
     projection_entropy_batch,
     projection_entropy_pure,
+    projection_entropy_pure_batch,
     projection_kraus,
     projection_output_band,
     projection_shift,
@@ -21,12 +22,13 @@ from spinwehrl.channels import (
 from spinwehrl.coherent import coherent_state
 from spinwehrl.entropy import (
     clamp_eigenvalues,
+    chordal_data,
     clamped_spectrum,
     entropy_of_spectrum,
     von_neumann,
     wehrl,
 )
-from spinwehrl.errors import ResourceGuardError
+from spinwehrl.errors import ConvergenceError, ResourceGuardError
 from spinwehrl.su2 import (
     DensityMatrix,
     PureState,
@@ -35,6 +37,7 @@ from spinwehrl.su2 import (
     generators,
     random_density,
     random_pure,
+    rotation_matrix,
 )
 
 from test_su2 import coupling_isometry
@@ -255,6 +258,66 @@ def test_projection_entropy_batch_matches_single_calls():
         states = [random_pure(spin, rng) for _ in range(3)]
         pure = projection_entropy_batch(spin, j, np.array([s.density().matrix for s in states]))
         assert np.array_equal(pure, [projection_entropy_pure(s, j) for s in states])
+
+
+def spin1_states(rng):
+    """Spin-1 test states, each rotated to a random orientation: Haar states,
+    a coherent state (s = 0), the m = 0 state (s = 1) and states with
+    s = 1e-9 and 1 - s = 1e-9, where s = |2 psi_+ psi_- - psi_0^2|."""
+    # cos(x)|1,1> + sin(x)|1,-1> has s = sin 2x; sin(pi/2 - 2y) = 1 - 2y^2 + ...
+    x = [np.arcsin(1e-9) / 2, np.pi / 4 - np.sqrt(1e-9 / 2)]
+    canonical = [np.array([1, 0, 0]), np.array([0, 1, 0])] + [np.array([np.cos(t), 0, np.sin(t)]) for t in x]
+    states = [random_pure(ONE, rng) for _ in range(20)]
+    for a in canonical:
+        d = SphereDirection(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi))
+        states.append(PureState(ONE, rotation_matrix(ONE, d) @ a.astype(complex), normalize=True))
+    return states
+
+
+def test_spin1_orbit_label_is_the_chordal_distance():
+    # s = |<Theta psi|psi>| = mu / (2 - mu) for the squared chordal distance
+    # mu between the two stars
+    states = spin1_states(np.random.default_rng(31))
+    s = np.array([abs(2 * p.amplitudes[0] * p.amplitudes[2] - p.amplitudes[1] ** 2) for p in states])
+    mu = np.array([chordal_data(p).values[0] for p in states])
+    assert np.max(np.abs(s - mu / (2 - mu))) < 1e-12
+    assert s[20] < 1e-15 and abs(s[21] - 1) < 1e-15
+    assert s[22] == pytest.approx(1e-9, rel=1e-6) and 1 - s[23] == pytest.approx(1e-9, rel=1e-6)
+
+
+@pytest.mark.parametrize("tj", [0, 1, 2, 20, 200])
+def test_spin1_tridiagonal_route_matches_band_and_dual(tj):
+    # the two parity tridiagonals of the canonical state against the band of
+    # psi psi^dag and the dual Gram matrix, at AC05's 1e-10 for spectra and
+    # 1e-12 for entropies
+    j = SpinLabel(tj)
+    states = spin1_states(np.random.default_rng(32 + tj))
+    amps = np.array([p.amplitudes for p in states])
+    fast = projection_entropy_pure_batch(ONE, j, amps)
+    band_route = projection_entropy_batch(ONE, j, amps[:, :, None] * amps[:, None, :].conj())
+    assert np.max(np.abs(fast - band_route)) < 1e-12
+    bands = projection_output_band(ONE, j, channels._spin1_canonical(amps))
+    for psi, band, value in zip(states, bands, fast):
+        spectrum = clamp_eigenvalues(channels._parity_eigenvalues(band))
+        dual = clamped_spectrum(projection_dual_gram(psi, j))
+        assert np.max(np.abs(spectrum[: j.dim] - dual)) < 1e-10
+        assert np.max(np.abs(spectrum[j.dim:])) < 1e-10
+        assert abs(value - entropy_of_spectrum(dual)) < 1e-12
+        assert value == projection_entropy_pure(psi, j)
+
+
+def test_spin1_route_raises_when_dsterf_fails(monkeypatch):
+    import scipy.linalg.lapack
+
+    def failing(d, e):
+        return np.sort(d), 3
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dsterf", failing)
+    psi = random_pure(ONE, np.random.default_rng(33))
+    with pytest.raises(ConvergenceError, match="dsterf left 3"):
+        projection_entropy_pure(psi, SpinLabel(20))
+    # the other spins keep the banded solve
+    projection_entropy_pure(random_pure(SpinLabel(3), np.random.default_rng(34)), SpinLabel(20))
 
 
 def test_band_chunks_stay_within_the_byte_guard(monkeypatch):

@@ -189,6 +189,25 @@ def test_closest_coherent_matches_simplex_oracle(tl):
         assert tl == 0 or geodesic_angle(found, d) < 1e-6
 
 
+@pytest.mark.parametrize("tl", [90, 120])
+def test_closest_coherent_is_polished_on_the_amplitudes(tl):
+    # from twice_l ~ 90 the Husimi zeros' eigensolve error moves the maximum
+    # of sum ln(1 - n.z_i); before the Newton steps on the overlap itself
+    # these Haar states fell 5.6e-7 (twice_l = 90) and a coherent state
+    # 1.3e-13 (twice_l = 120) below the simplex polish
+    rng = np.random.default_rng(50 + tl)
+    spin = SpinLabel(tl)
+    directions = [SphereDirection(0.0, 0.0), SphereDirection(np.pi, 0.3), SphereDirection(1.0, 2.0)]
+    states = [random_pure(spin, rng) for _ in range(8)] + [coherent_state(spin, d) for d in directions]
+    for psi in states:
+        found, fid = closest_coherent(psi)
+        assert fid >= nelder_mead_closest_coherent(psi) - 1e-14
+    for d, psi in zip(directions, states[8:]):
+        found, fid = closest_coherent(psi)
+        assert fid == pytest.approx(1.0, abs=1e-12)
+        assert geodesic_angle(found, d) < 1e-6
+
+
 def test_coherent_state_past_the_float_range_is_refused():
     # sqrt C(2100, 1050) overflows in the radial amplitudes; the state used to
     # come back with every amplitude NaN

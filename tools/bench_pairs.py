@@ -9,9 +9,12 @@ line (the runner's JSON result) is kept. ``--out`` is read first if it exists,
 so one record can hold several workloads, and new pairs of a workload are added
 to its earlier ones. The summary gives each side's median and quartiles per
 end-to-end metric over all pairs, the pairs the change wins, the parent's
-quartile distance (`parent_iqr`) and whether a gain may be claimed
-(`beyond_parent_iqr`): the change wins at least nine tenths of the pairs and its
-median is better than the parent's by more than that distance.
+quartile distance (`parent_iqr`), whether a gain may be claimed
+(`beyond_parent_iqr`: the change wins at least nine tenths of the pairs and its
+median is better than the parent's by more than that distance) and whether the
+metric regressed (`regressed`: the change's median is worse than the parent's
+by more than the metric's relative bound). Each metric's direction and bound
+are read from the repository's ``BENCHMARK.json``.
 """
 
 from __future__ import annotations
@@ -23,7 +26,13 @@ import subprocess
 import sys
 from pathlib import Path
 
-HIGHER_IS_BETTER = {"items_per_s"}
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+
+
+def end_to_end_metrics(path: Path = BENCHMARK) -> dict:
+    """The end-to-end metrics of a benchmark declaration by name, each with
+    its `better` direction and relative `bound`."""
+    return {m["name"]: m for m in json.loads(path.read_text())["end_to_end"]}
 
 
 def seed_list(text: str) -> list[int]:
@@ -38,11 +47,12 @@ def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(out.stdout.splitlines()[-1])
 
 
-def summary(pairs: list[dict]) -> dict:
+def summary(pairs: list[dict], metrics: dict | None = None) -> dict:
+    metrics = end_to_end_metrics() if metrics is None else metrics
     result = {}
     for name in pairs[0]["parent"]["metrics"]:
         sides = {side: [p[side]["metrics"][name]["value"] for p in pairs] for side in ("parent", "change")}
-        sign = 1 if name in HIGHER_IS_BETTER else -1
+        sign = 1 if metrics[name]["better"] == "higher" else -1
         wins = sum(sign * (c - p) > 0 for p, c in zip(sides["parent"], sides["change"]))
         result[name] = {side: {"median": statistics.median(v),
                                "quartiles": statistics.quantiles(v, n=4)[::2] if len(v) > 1 else v * 2}
@@ -52,6 +62,7 @@ def summary(pairs: list[dict]) -> dict:
         result[name]["change_wins"] = f"{wins}/{len(pairs)}"
         result[name]["parent_iqr"] = high - low
         result[name]["beyond_parent_iqr"] = 10 * wins >= 9 * len(pairs) and gain > high - low
+        result[name]["regressed"] = -gain > metrics[name]["bound"] * abs(result[name]["parent"]["median"])
     result["all_correct"] = all(p[s]["correct"] for p in pairs for s in ("parent", "change"))
     return result
 
