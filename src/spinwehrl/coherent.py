@@ -208,15 +208,13 @@ def state_from_roots(roots: StellarRoots) -> PureState:
 
 
 @lru_cache(maxsize=1)
-def _start_grid() -> np.ndarray:
-    """Unit vectors of the 32 x 64 start grid of `closest_coherent`, uniform
-    in cos(theta) and phi, shape (2048, 3); cached, read-only."""
-    theta = np.arccos(np.linspace(1, -1, 32))[:, None]
+def _start_grid() -> tuple[np.ndarray, np.ndarray]:
+    """Polar angles (32, uniform in cos(theta)) and azimuths (64) of the start
+    grid of `closest_coherent`; cached, read-only."""
+    theta = np.arccos(np.linspace(1, -1, 32))
     phi = 2 * pi * np.arange(64) / 64
-    grid = np.stack(np.broadcast_arrays(np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)),
-                    axis=-1).reshape(-1, 3)
-    grid.flags.writeable = False
-    return grid
+    theta.flags.writeable = phi.flags.writeable = False
+    return theta, phi
 
 
 def _newton_ascent(n: np.ndarray, derivatives, tol: float, max_steps: int = 50) -> np.ndarray:
@@ -247,28 +245,16 @@ def _angles(n: np.ndarray) -> tuple[float, float]:
 def closest_coherent(psi: PureState) -> tuple[SphereDirection, float]:
     """Coherent state of maximal Husimi overlap with psi.
 
-    The Husimi function is f(n) = K prod_i (1 - n.z_i)/2 over its zeros z_i
-    (`husimi_zeros`), so n nearly maximizes F(n) = sum_i ln(1 - n.z_i),
-    found by Newton steps from the maximum of a coarse 32x64 grid. F is only
-    as accurate as the zeros, whose eigensolve error moves its maximum from
-    twice_l ~ 90 on (by 5.6e-7 in fidelity on a Haar state at twice_l = 90),
-    so Newton steps on ln |<n|psi>|^2 itself, from the amplitudes, follow. The
-    fidelity is the amplitude overlap at the n found. When the maximum is
-    degenerate (e.g. rotationally symmetric states) any one maximizer is
-    returned.
+    Newton steps on ln |<n|psi>|^2, from the amplitudes, start at the maximum
+    of |<n|psi>|^2 on a coarse 32x64 grid. The fidelity is the amplitude
+    overlap at the n found. When the maximum is degenerate (e.g. rotationally
+    symmetric states) any one maximizer is returned.
     """
     l = psi.spin
-    z = husimi_zeros(l, psi.amplitudes[None])[0]
-    grid = _start_grid()
-    # a zero on a node gives t <= 0 there, which never wins
-    with np.errstate(divide="ignore"):
-        F = np.log(np.maximum(1 - grid @ z.T, 0)).sum(axis=1)
-
-    def zeros_derivatives(n):
-        t = 1 - z @ n
-        g = -(z.T @ (1 / t))
-        P = np.eye(3) - np.outer(n, n)
-        return P @ g, P @ (-(z.T / t**2) @ z - (n @ g) * np.eye(3)) @ P
+    thetas, phis = _start_grid()
+    overlap = _amplitudes(l, thetas, phis) @ psi.amplitudes.conj()  # conj <n|psi>, (32, 64)
+    i, j = np.unravel_index(np.argmax(overlap.real ** 2 + overlap.imag ** 2), overlap.shape)
+    n = np.array([np.sin(thetas[i]) * np.cos(phis[j]), np.sin(thetas[i]) * np.sin(phis[j]), np.cos(thetas[i])])
 
     # exp(i t.L)|n> is the coherent state at n turned by the angle |t| about
     # t, so for t normal to n, c(t) = <n| exp(i t.L) |psi> = c (1 + i t.w -
@@ -288,8 +274,7 @@ def closest_coherent(psi: PureState) -> tuple[SphereDirection, float]:
         J = np.array([[0, n[2], -n[1]], [-n[2], 0, n[0]], [n[1], -n[0], 0]])  # J t = t x n
         return J @ (-2 * w.imag), J @ (2 * (np.outer(w, w) - (M + M.T) / 2).real) @ J.T
 
-    # both gradients grow with 2l, and so does their rounding: 1e-12 at twice_l = 400
-    tol = 1e-13 * l.dim
-    n = _newton_ascent(_newton_ascent(grid[np.argmax(F)], zeros_derivatives, tol), overlap_derivatives, tol)
+    # the gradient grows with 2l, and so does its rounding: 1e-12 at twice_l = 400
+    n = _newton_ascent(n, overlap_derivatives, 1e-13 * l.dim)
     direction = SphereDirection(*_angles(n))
     return direction, psi.fidelity(coherent_state(l, direction))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,10 +14,19 @@ from .su2 import PureState, SphereDirection, SpinLabel
 
 #: Largest twice_l `minimize_entropy` accepts; the CLI checks it before sampling.
 OPTIMIZER_MAX_TWICE_L = 16
-#: Tighter than scipy's defaults (ftol 2.2e-9, gtol 1e-5), whose single starts
-#: ended up to 2.3e-7 above the coherent minimum at twice_l = 8; these reach
-#: 3.5e-13 for about 40% more iterations.
+#: Stops of the L-BFGS search: a relative decrease (f_k - f_k+1)/max(|f_k|, |f_k+1|, 1)
+#: of at most ftol, or no gradient component above gtol. scipy's L-BFGS-B
+#: defaults, ftol 2.2e-9 and gtol 1e-5, leave single starts up to 8.1e-9 above
+#: the coherent minimum at twice_l = 8 (40 seeds); these reach 9.8e-13 for 38%
+#: more iterations.
 _LBFGS_OPTIONS = {"ftol": 1e-13, "gtol": 1e-9}
+#: Correction pairs the search keeps (Liu & Nocedal's m), and its caps on
+#: iterations and on evaluations per line search, as in scipy's L-BFGS-B.
+_LBFGS_MEMORY = 10
+_LBFGS_MAX_ITERATIONS = 15000
+_LINE_SEARCH_MAX_EVALS = 20
+#: Weak Wolfe constants: sufficient decrease c1 and curvature c2.
+_WOLFE_C1, _WOLFE_C2 = 1e-4, 0.9
 
 
 def _padded(a: np.ndarray, b: np.ndarray):
@@ -59,11 +70,6 @@ class OptimizationResult:
     converged: bool
     closest_direction: SphereDirection
     coherent_fidelity: float
-
-
-# The search functions contract with einsum, not matmul: numpy and scipy each
-# carry an OpenBLAS thread pool, and waking numpy's between L-BFGS-B steps made
-# a minimization 5-10x slower on a 2-CPU machine.
 
 
 def _real_gradient(g: np.ndarray) -> np.ndarray:
@@ -119,6 +125,103 @@ def objective_fn(l: SpinLabel, objective):
     raise ValueError(f"unknown objective {objective!r}")
 
 
+def _cubic_minimizer(a, fa, ga, b, fb, gb) -> float:
+    """Minimizer of the cubic through (a, fa) and (b, fb) with slopes ga and gb
+    (Nocedal & Wright, eq. 3.59); NaN where that cubic has none."""
+    d1 = ga + gb - 3 * (fa - fb) / (a - b)
+    disc = d1 * d1 - ga * gb
+    if not disc >= 0:
+        return math.nan
+    d2 = math.copysign(math.sqrt(disc), b - a)
+    den = gb - ga + 2 * d2
+    return b - (b - a) * (gb + d2 - d1) / den if den else math.nan
+
+
+def _wolfe_step(fun, x, f, slope, d, t):
+    """A point x + t d that meets the weak Wolfe conditions, given the slope
+    g.d < 0 at x, as (x, f, g); None if none is found in
+    _LINE_SEARCH_MAX_EVALS evaluations. From the trial step t it extrapolates
+    until a step fails sufficient decrease, then brackets, both by safeguarded
+    cubic interpolation on the values and slopes at the last two steps."""
+    lo = (0.0, f, slope)  # meets sufficient decrease but still descends steeply
+    hi = None  # fails sufficient decrease, or is not finite
+    for _ in range(_LINE_SEARCH_MAX_EVALS):
+        x_t = x + t * d
+        f_t, g_t = fun(x_t)
+        slope_t = float(g_t @ d)
+        if not f_t <= f + _WOLFE_C1 * t * slope:
+            hi = (t, f_t, slope_t)
+        elif slope_t < _WOLFE_C2 * slope:
+            prev, lo = lo, (t, f_t, slope_t)
+        else:
+            return x_t, f_t, g_t
+        if hi is None:  # grow the step 1.1 to 4 times
+            t_c = _cubic_minimizer(*prev, *lo)
+            t = 4 * t if math.isnan(t_c) else min(max(t_c, 1.1 * t), 4 * t)
+        else:  # stay a tenth of the bracket (lo, hi) from either end; NaN at hi bisects
+            t_c = _cubic_minimizer(*lo, *hi)
+            margin = 0.1 * (hi[0] - lo[0])
+            t = (lo[0] + hi[0]) / 2 if math.isnan(t_c) else min(max(t_c, lo[0] + margin), hi[0] - margin)
+    return None
+
+
+def _two_loop(pairs, gamma: float, g: np.ndarray) -> np.ndarray:
+    """-H g for the L-BFGS inverse Hessian H of the correction pairs (s, y,
+    1 / s.y), oldest first, started from gamma I: the two-loop recursion of
+    Liu & Nocedal (1989)."""
+    q = -g
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alpha = rho * float(s @ q)
+        q -= alpha * y
+        alphas.append(alpha)
+    q *= gamma
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - rho * float(y @ q)) * s
+    return q
+
+
+def _lbfgs(fun, x):
+    """Minimize fun (x -> (value, gradient)) from x by limited-memory BFGS
+    with the last _LBFGS_MEMORY correction pairs, scaled by gamma = s.y / y.y
+    of the newest, and a weak Wolfe line search from the unit step, or from a
+    step of unit length along -g while the memory is empty. A failed line
+    search clears the memory; one with an empty memory ends the search
+    unconverged. Returns (x, f, iterations, converged)."""
+    ftol, gtol = _LBFGS_OPTIONS["ftol"], _LBFGS_OPTIONS["gtol"]
+    f, g = fun(x)
+    if np.max(np.abs(g)) <= gtol:
+        return x, f, 0, True
+    pairs = deque(maxlen=_LBFGS_MEMORY)
+    iterations = 0
+    while iterations < _LBFGS_MAX_ITERATIONS:
+        d = _two_loop(pairs, gamma, g) if pairs else -g
+        t = 1.0 if pairs else 1 / np.linalg.norm(g)
+        slope = float(g @ d)
+        step = None
+        if slope < 0:
+            if -t * slope <= ftol * max(abs(f), 1):
+                return x, f, iterations, True  # the step's linear decrease is below ftol
+            step = _wolfe_step(fun, x, f, slope, d, t)
+        if step is None:
+            if not pairs:
+                return x, f, iterations, False
+            pairs.clear()
+            continue
+        iterations += 1
+        x_new, f_new, g_new = step
+        s, y = x_new - x, g_new - g
+        sy, yy = float(s @ y), float(y @ y)
+        if sy > np.finfo(float).eps * yy:  # else H would lose positive definiteness
+            pairs.append((s, y, 1 / sy))
+            gamma = sy / yy
+        done = f - f_new <= ftol * max(abs(f), abs(f_new), 1) or np.max(np.abs(g_new)) <= gtol
+        x, f, g = x_new, f_new, g_new
+        if done:
+            return x, f, iterations, True
+    return x, f, iterations, False
+
+
 def minimize_entropy(l: SpinLabel, objective, restarts: int = 16, seed: int = 0) -> OptimizationResult:
     """Multi-start L-BFGS minimization, with analytic gradients, of an entropy
     functional over pure states of spin l.
@@ -129,8 +232,6 @@ def minimize_entropy(l: SpinLabel, objective, restarts: int = 16, seed: int = 0)
     pair is fully deterministic. The winner is the lowest value, ties broken
     by lowest restart index.
     """
-    from scipy.optimize import minimize  # imported here so the package loads without scipy
-
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
     if l.twice_l > OPTIMIZER_MAX_TWICE_L:
@@ -144,11 +245,11 @@ def minimize_entropy(l: SpinLabel, objective, restarts: int = 16, seed: int = 0)
     any_converged = False
     for start in np.random.SeedSequence(seed).spawn(restarts):
         x0 = np.random.default_rng(start).standard_normal(2 * d)
-        res = minimize(search, x0, jac=True, method="L-BFGS-B", options=_LBFGS_OPTIONS)
-        total_iters += res.nit
-        any_converged = any_converged or bool(res.success)
-        if best is None or res.fun < best[0]:
-            best = (res.fun, res.x[:d] + 1j * res.x[d:])
+        x, value, iterations, converged = _lbfgs(search, x0)
+        total_iters += iterations
+        any_converged = any_converged or converged
+        if best is None or value < best[0]:
+            best = (value, x[:d] + 1j * x[d:])
     psi = PureState(l, best[1], normalize=True)
     direction, fidelity = closest_coherent(psi)
     return OptimizationResult(psi, float(best[0]), total_iters, restarts,

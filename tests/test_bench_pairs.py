@@ -54,3 +54,20 @@ def test_regressed_reads_each_metric_bound():
     pairs = [{"parent": _run(100.0, 1.0), "change": _run(88.0, 1.05)} for _ in range(3)]
     out = bench_pairs.summary(pairs, tight)
     assert out["items_per_s"]["regressed"] is True and out["setup_s"]["regressed"] is False
+
+
+def test_unresolved_when_the_parent_spreads_past_the_bound():
+    # parent items/s 100..190 in steps of 10: quartiles 117.5 and 172.5, a
+    # distance of 55 > 0.25 x the median 145, so a change 5 faster on every
+    # pair is unresolved; set-up 1.0..1.09 s spreads 0.055 < 0.25 x 1.045
+    pairs = [{"parent": _run(100 + 10 * i, 1.0 + i / 100), "change": _run(105 + 10 * i, 1.0 + i / 100)}
+             for i in range(10)]
+    out = bench_pairs.summary(pairs)
+    assert out["items_per_s"]["parent_iqr"] == pytest.approx(55.0)
+    assert out["items_per_s"]["unresolved"] is True and out["items_per_s"]["regressed"] is False
+    assert out["setup_s"]["unresolved"] is False
+    # as wide a spread is resolved once every change run beats every parent run
+    for i, pair in enumerate(pairs):
+        pair["change"] = _run(200 + i, 1.0 + i / 100)
+    out = bench_pairs.summary(pairs)
+    assert out["items_per_s"]["unresolved"] is False and out["items_per_s"]["beyond_parent_iqr"] is True

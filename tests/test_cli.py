@@ -374,20 +374,26 @@ loaded["entropy"] = scipy_modules()
 assert spinwehrl.cli.main(["sun", "--modes", "3", "--bosons", "2", "--copies", "2", "--mode", "majorize",
                            "--samples", "20"]) == 0
 loaded["sun"] = scipy_modules()
+for objective in ("wehrl", "angular"):
+    assert spinwehrl.cli.main(["scan-conjecture", "--objective", objective, "--twice-l", "2", "--samples", "2",
+                               "--restarts", "2"]) == 0
+    loaded["scan-" + objective] = scipy_modules()
 print(json.dumps(loaded))
 """
 
 
 def test_package_and_light_commands_load_no_scipy(tmp_path):
-    # scipy costs several times numpy's import; only the banded eigensolve,
-    # the optimizer and expm load it, so a fresh interpreter that imports the
-    # package and runs a Wehrl entropy and a majorization test holds none of it
+    # scipy costs several times numpy's import; only the banded and
+    # tridiagonal eigensolves and expm load it, so a fresh interpreter that
+    # imports the package and runs a Wehrl entropy, a majorization test and
+    # the Wehrl and angular optimizer scans holds none of it
     path = write_json_state(tmp_path / "psi.json", random_pure(SpinLabel(3), np.random.default_rng(2)))
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, path], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
-    assert json.loads(out.stdout.splitlines()[-1]) == {"import": [], "entropy": [], "sun": []}
+    assert json.loads(out.stdout.splitlines()[-1]) == {"import": [], "entropy": [], "sun": [], "scan-wehrl": [],
+                                                       "scan-angular": []}
 
 
 def test_parser_is_built_once_and_reused(capsys, monkeypatch):

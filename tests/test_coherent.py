@@ -189,19 +189,21 @@ def test_closest_coherent_matches_simplex_oracle(tl):
         assert tl == 0 or geodesic_angle(found, d) < 1e-6
 
 
-@pytest.mark.parametrize("tl", [90, 120])
-def test_closest_coherent_is_polished_on_the_amplitudes(tl):
+@pytest.mark.parametrize("tl, gate", [(90, 1e-14), (120, 1e-14), (400, 1e-12)])
+def test_closest_coherent_is_polished_on_the_amplitudes(tl, gate):
     # from twice_l ~ 90 the Husimi zeros' eigensolve error moves the maximum
-    # of sum ln(1 - n.z_i); before the Newton steps on the overlap itself
-    # these Haar states fell 5.6e-7 (twice_l = 90) and a coherent state
-    # 1.3e-13 (twice_l = 120) below the simplex polish
+    # of sum ln(1 - n.z_i): Newton steps on it alone left these Haar states
+    # 5.6e-7 (twice_l = 90) and a coherent state 1.3e-13 (twice_l = 120)
+    # below the simplex polish; started from its grid maximum, the Newton
+    # steps on the overlap ended 2.7e-3 to 1.9e-2 below it on 7 of these 8
+    # Haar states at twice_l = 400, where the overlap's rounding is larger
     rng = np.random.default_rng(50 + tl)
     spin = SpinLabel(tl)
     directions = [SphereDirection(0.0, 0.0), SphereDirection(np.pi, 0.3), SphereDirection(1.0, 2.0)]
     states = [random_pure(spin, rng) for _ in range(8)] + [coherent_state(spin, d) for d in directions]
     for psi in states:
         found, fid = closest_coherent(psi)
-        assert fid >= nelder_mead_closest_coherent(psi) - 1e-14
+        assert fid >= nelder_mead_closest_coherent(psi) - gate
     for d, psi in zip(directions, states[8:]):
         found, fid = closest_coherent(psi)
         assert fid == pytest.approx(1.0, abs=1e-12)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
-from spinwehrl import entropy
+from spinwehrl import entropy, majorize
 from spinwehrl.channels import angular_gram, projection_entropy_pure
 from spinwehrl.entropy import clamped_spectrum, entropy_of_spectrum, wehrl_pure
 from spinwehrl.majorize import (
@@ -173,3 +174,55 @@ def test_minimize_is_deterministic():
     assert np.array_equal(a.best_state.amplitudes, b.best_state.amplitudes)
     assert (a.best_value, a.iterations, a.closest_direction, a.coherent_fidelity) == \
         (b.best_value, b.iterations, b.closest_direction, b.coherent_fidelity)
+
+
+def counted_objectives(monkeypatch) -> list:
+    """Patch `majorize.objective_fn` so that each search function it builds
+    counts its evaluations; returns the counts, one per function built."""
+    counts, build = [], majorize.objective_fn
+
+    def counting(l, objective):
+        search, i = build(l, objective), len(counts)
+        counts.append(0)
+
+        def counted(x):
+            counts[i] += 1
+            return search(x)
+
+        return counted
+
+    monkeypatch.setattr(majorize, "objective_fn", counting)
+    return counts
+
+
+@pytest.mark.parametrize("twice_l, objective, restarts", [
+    (2, "wehrl", 16), (3, "wehrl", 16), (8, "wehrl", 4), (16, "wehrl", 2), (4, "angular", 8),
+    (2, ("projection", SpinLabel(20)), 8), (4, ("projection", SpinLabel(20)), 8),
+], ids=str)
+def test_search_matches_scipy_lbfgsb_from_the_same_starts(twice_l, objective, restarts, monkeypatch):
+    # the oracle: scipy's L-BFGS-B with the same stops, from the starts that
+    # minimize_entropy spawns; the numpy search must reach its minimum and
+    # spend no more than 1.2 times its evaluations per restart
+    l = SpinLabel(twice_l)
+    search = objective_fn(l, objective)
+    oracle = [minimize(search, np.random.default_rng(start).standard_normal(2 * l.dim), jac=True,
+                       method="L-BFGS-B", options=majorize._LBFGS_OPTIONS)
+              for start in np.random.SeedSequence(0).spawn(restarts)]
+    counts = counted_objectives(monkeypatch)
+    res = minimize_entropy(l, objective, restarts=restarts, seed=0)
+    assert res.converged and all(r.success for r in oracle)
+    assert abs(res.best_value - min(r.fun for r in oracle)) < 1e-12
+    assert counts[0] <= 1.2 * sum(r.nfev for r in oracle)
+
+
+def test_failed_line_search_returns_unconverged(monkeypatch):
+    # a gradient that the constant value never follows: no step meets
+    # sufficient decrease, so each start spends one evaluation and a full line
+    # search, keeps its start point and reports no convergence
+    monkeypatch.setattr(majorize, "objective_fn", lambda l, objective: lambda x: (1.0, np.ones_like(x)))
+    counts = counted_objectives(monkeypatch)
+    res = minimize_entropy(SpinLabel(2), "wehrl", restarts=3, seed=0)
+    assert res.converged is False and res.iterations == 0 and res.best_value == 1.0
+    assert counts == [3 * (1 + majorize._LINE_SEARCH_MAX_EVALS)]
+    x0 = np.random.default_rng(np.random.SeedSequence(0).spawn(3)[0]).standard_normal(6)
+    assert np.allclose(res.best_state.amplitudes, (x0[:3] + 1j * x0[3:]) / np.linalg.norm(x0))

@@ -13,8 +13,10 @@ quartile distance (`parent_iqr`), whether a gain may be claimed
 (`beyond_parent_iqr`: the change wins at least nine tenths of the pairs and its
 median is better than the parent's by more than that distance) and whether the
 metric regressed (`regressed`: the change's median is worse than the parent's
-by more than the metric's relative bound). Each metric's direction and bound
-are read from the repository's ``BENCHMARK.json``.
+by more than the metric's relative bound) and whether the runs are too spread
+to tell (`unresolved`: the parent's quartile distance exceeds the bound times
+the parent's median, and not every change run beats every parent run). Each
+metric's direction and bound are read from the repository's ``BENCHMARK.json``.
 """
 
 from __future__ import annotations
@@ -62,7 +64,10 @@ def summary(pairs: list[dict], metrics: dict | None = None) -> dict:
         result[name]["change_wins"] = f"{wins}/{len(pairs)}"
         result[name]["parent_iqr"] = high - low
         result[name]["beyond_parent_iqr"] = 10 * wins >= 9 * len(pairs) and gain > high - low
-        result[name]["regressed"] = -gain > metrics[name]["bound"] * abs(result[name]["parent"]["median"])
+        allowed = metrics[name]["bound"] * abs(result[name]["parent"]["median"])
+        result[name]["regressed"] = -gain > allowed
+        every_run_wins = min(sign * c for c in sides["change"]) > max(sign * p for p in sides["parent"])
+        result[name]["unresolved"] = high - low > allowed and not every_run_wins
     result["all_correct"] = all(p[s]["correct"] for p in pairs for s in ("parent", "change"))
     return result
 
