@@ -189,7 +189,7 @@ def test_closest_coherent_matches_simplex_oracle(tl):
         assert tl == 0 or geodesic_angle(found, d) < 1e-6
 
 
-@pytest.mark.parametrize("tl, gate", [(90, 1e-14), (120, 1e-14), (400, 1e-12)])
+@pytest.mark.parametrize("tl, gate", [(90, 1e-14), (120, 1e-14), (400, 1e-12)], ids=["90", "120", "400"])
 def test_closest_coherent_is_polished_on_the_amplitudes(tl, gate):
     # from twice_l ~ 90 the Husimi zeros' eigensolve error moves the maximum
     # of sum ln(1 - n.z_i): Newton steps on it alone left these Haar states
