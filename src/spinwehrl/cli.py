@@ -50,11 +50,7 @@ import numpy as np
 from . import channels, entropy, fock, majorize
 from .errors import ConvergenceError, DecompositionError, ResourceGuardError
 from .quadrature import QuadratureSpec
-from .su2 import PureState, SpinLabel, random_pure
-
-#: States drawn and evaluated at a time by scan-conjecture and
-#: figure-projection, which bounds their memory at any --samples.
-_SAMPLE_CHUNK = 256
+from .su2 import STATE_CHUNK, PureState, SpinLabel, random_pure
 
 
 class CliError(Exception):
@@ -241,10 +237,10 @@ def cmd_figure_projection(args) -> int:
 
 def _sample_chunks(l: SpinLabel, samples: int, seed: int):
     """Random pure states of spin l drawn in order from `seed`, as (index of
-    the first, amplitude rows) in chunks of _SAMPLE_CHUNK."""
+    the first, amplitude rows) in chunks of STATE_CHUNK."""
     rng = np.random.default_rng(seed)
-    for start in range(0, samples, _SAMPLE_CHUNK):
-        yield start, np.array([random_pure(l, rng).amplitudes for _ in range(min(_SAMPLE_CHUNK, samples - start))])
+    for start in range(0, samples, STATE_CHUNK):
+        yield start, np.array([random_pure(l, rng).amplitudes for _ in range(min(STATE_CHUNK, samples - start))])
 
 
 def _require_projection_j(command: str, j: SpinLabel):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import pi
+from math import ceil, pi, sqrt
 
 import numpy as np
 
@@ -207,14 +207,23 @@ def state_from_roots(roots: StellarRoots) -> PureState:
     return PureState(roots.spin, (coefs / _majorana_weights(tl))[::-1], normalize=True)
 
 
-@lru_cache(maxsize=1)
-def _start_grid() -> tuple[np.ndarray, np.ndarray]:
-    """Polar angles (32, uniform in cos(theta)) and azimuths (64) of the start
-    grid of `closest_coherent`; cached, read-only."""
-    theta = np.arccos(np.linspace(1, -1, 32))
-    phi = 2 * pi * np.arange(64) / 64
-    theta.flags.writeable = phi.flags.writeable = False
-    return theta, phi
+@lru_cache(maxsize=16)
+def _start_grid(twice_l: int):
+    """Polar angles, uniform in cos(theta), and twice as many uniform
+    azimuths of the start grid of `closest_coherent`, with the radial
+    amplitudes on the rings, shape (n_theta, d), and the phases e^(-i m phi)
+    on the azimuths, shape (2 n_theta, d), whose product is the coherent
+    amplitude grid; cached, read-only. The overlap's peaks narrow as
+    1/sqrt(2l), and so does the grid's spacing from twice_l = 17 on: 32 x 64
+    below, 160 x 320 at twice_l = 400."""
+    n_theta = max(32, ceil(8 * sqrt(twice_l)))
+    theta = np.arccos(np.linspace(1, -1, n_theta))
+    phi = 2 * pi * np.arange(2 * n_theta) / (2 * n_theta)
+    radial = _radial(SpinLabel(twice_l), theta)
+    phase = np.exp(-1j * np.outer(phi, np.arange(twice_l, -twice_l - 1, -2) / 2))
+    for x in (theta, phi, radial, phase):
+        x.flags.writeable = False
+    return theta, phi, radial, phase
 
 
 def _newton_ascent(n: np.ndarray, derivatives, tol: float, max_steps: int = 50) -> np.ndarray:
@@ -246,13 +255,14 @@ def closest_coherent(psi: PureState) -> tuple[SphereDirection, float]:
     """Coherent state of maximal Husimi overlap with psi.
 
     Newton steps on ln |<n|psi>|^2, from the amplitudes, start at the maximum
-    of |<n|psi>|^2 on a coarse 32x64 grid. The fidelity is the amplitude
-    overlap at the n found. When the maximum is degenerate (e.g. rotationally
-    symmetric states) any one maximizer is returned.
+    of |<n|psi>|^2 on a coarse grid (`_start_grid`, 32x64 up to twice_l = 16).
+    The fidelity is the amplitude overlap at the n found. When the maximum is
+    degenerate (e.g. rotationally symmetric states) any one maximizer is
+    returned.
     """
     l = psi.spin
-    thetas, phis = _start_grid()
-    overlap = _amplitudes(l, thetas, phis) @ psi.amplitudes.conj()  # conj <n|psi>, (32, 64)
+    thetas, phis, radial, phase = _start_grid(l.twice_l)
+    overlap = (radial * psi.amplitudes.conj()) @ phase.T  # conj <n|psi>, with no (rings, azimuths, d) array
     i, j = np.unravel_index(np.argmax(overlap.real ** 2 + overlap.imag ** 2), overlap.shape)
     n = np.array([np.sin(thetas[i]) * np.cos(phis[j]), np.sin(thetas[i]) * np.sin(phis[j]), np.cos(thetas[i])])
 

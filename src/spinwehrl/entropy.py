@@ -45,9 +45,11 @@ MAX_GRID_BYTES = 512 * 2 ** 20
 #: Largest max |f - K prod_i (1 - n.z_i)/2| on the exact grid that keeps a
 #: pure state on the root formula; beyond it the state takes the quadrature.
 EXACT_RESIDUAL_TOL = 1e-10
-#: Most rows per `_exact_wehrl` call in `wehrl_pure_batch`, fewer where
-#: MAX_GRID_BYTES allows fewer (`_exact_bytes`).
-_WEHRL_CHUNK = 256
+#: Most bytes of per-row arrays (`_exact_bytes`) in one `_exact_wehrl` call
+#: of `wehrl_pure_batch` or `wehrl_pure_gradient`. Larger chunks fall out of
+#: cache and cost more per row: at twice_l = 16 on a 2-CPU desk machine, 16
+#: rows (7.7 MiB) took 963 us per row, 2 rows 493 us and 1 row 557 us.
+_EXACT_CHUNK_BYTES = 2 ** 20
 #: Most multiply-adds `renyi_wehrl_projector` may spend on its polynomial
 #: power, about a second on a 2-CPU desk machine.
 RENYI_PROJECTOR_WORK = 100_000_000
@@ -241,32 +243,56 @@ def wehrl_pure_batch(l: SpinLabel, amplitudes: np.ndarray,
     integrand is exact on the (2l+1) x (4l+1) grid, where K normalizes the
     product. A state whose product misses f there by EXACT_RESIDUAL_TOL or
     more takes `wehrl_quadrature(rho, spec)` instead, once every chunk's
-    arrays are released. Rows go in chunks of at most _WEHRL_CHUNK that stay
-    within MAX_GRID_BYTES, whatever their number."""
+    arrays are released. Rows go in chunks of `_exact_chunk` rows, whatever
+    their number."""
     amplitudes = np.asarray(amplitudes, dtype=complex)
     values = np.empty(len(amplitudes))
-    grid, row = _exact_bytes(l)
-    chunk = min(_WEHRL_CHUNK, max(1, (MAX_GRID_BYTES - grid) // row))
+    chunk = _exact_chunk(l)
     for start in range(0, len(amplitudes), chunk):
         values[start:start + chunk] = _exact_wehrl(l, amplitudes[start:start + chunk])[0]
-    for i in np.flatnonzero(np.isnan(values)):
-        values[i] = wehrl_quadrature(PureState(l, amplitudes[i], normalize=True).density(), spec)
+    _fall_back(l, amplitudes, values, spec)
     return values
 
 
-def wehrl_pure_gradient(l: SpinLabel, v) -> tuple[float, np.ndarray]:
+def wehrl_pure_gradient(l: SpinLabel, v):
     """Exact Wehrl entropy S of v/|v|, for amplitudes v of any norm n = |v|^2,
     and dS/dv* = -(d/n) [V^T (c a) - v (c . f)] from f = |a|^2 / n, a = V* v,
     c = w (1 + ln f). With ln f replaced by ln K + sum_i G(n.z_i), as in
     `wehrl_pure_batch`, each integrand has degree <= 4l and is exact on the
-    same grid; a quadrature fallback value keeps the root formula's gradient."""
+    same grid; a quadrature fallback value keeps the root formula's gradient.
+
+    v is one state, shape (d,), for (S, gradient), or rows of states, shape
+    (k, d), for shapes (k,) and (k, d), in the chunks of `wehrl_pure_batch`."""
     v = np.asarray(v, dtype=complex)
-    values, V, w, a, f, log_f = _exact_wehrl(l, v[None])
-    c = w * (1 + log_f[0])
-    grad = -(l.dim / np.vdot(v, v).real) * (np.einsum("n,ni->i", c * a[0], V) - v * (c @ f[0]))
-    if np.isnan(values[0]):
-        values[0] = wehrl_quadrature(PureState(l, v, normalize=True).density())
-    return float(values[0]), grad
+    rows = v.reshape(-1, l.dim)
+    values, grads = np.empty(len(rows)), np.empty_like(rows)
+    chunk = _exact_chunk(l)
+    for start in range(0, len(rows), chunk):
+        u = rows[start:start + chunk]
+        values[start:start + chunk], V, w, a, f, log_f = _exact_wehrl(l, u)
+        c = w * (1 + log_f)
+        n = np.vecdot(u, u).real
+        grads[start:start + chunk] = -(l.dim / n)[:, None] * (
+            np.einsum("sn,ni->si", c * a, V) - u * np.vecdot(c, f)[:, None])
+    _fall_back(l, rows, values)
+    if v.ndim == 1:
+        return float(values[0]), grads[0]
+    return values, grads
+
+
+def _fall_back(l: SpinLabel, amplitudes: np.ndarray, values: np.ndarray, spec=None):
+    """Replace each NaN of `values`, a row that missed the root formula, by
+    the quadrature value of its state."""
+    for i in np.flatnonzero(np.isnan(values)):
+        values[i] = wehrl_quadrature(PureState(l, amplitudes[i], normalize=True).density(), spec)
+
+
+def _exact_chunk(l: SpinLabel) -> int:
+    """Rows per `_exact_wehrl` call: as many as _EXACT_CHUNK_BYTES of per-row
+    arrays hold, fewer where MAX_GRID_BYTES allows fewer, and at least one,
+    which the guard then checks."""
+    grid, row = _exact_bytes(l)
+    return max(1, min(_EXACT_CHUNK_BYTES, MAX_GRID_BYTES - grid) // row)
 
 
 def _exact_bytes(l: SpinLabel) -> tuple[int, int]:
@@ -308,7 +334,7 @@ def _exact_wehrl(l: SpinLabel, amplitudes: np.ndarray):
     f = (a.real ** 2 + a.imag ** 2) / np.einsum("sj,sj->s", amplitudes.conj(), amplitudes).real[:, None]
     t = husimi_zeros(l, amplitudes) @ points  # (states, 2l, nodes)
     product = np.prod((1 - t) / 2, axis=1)
-    K = 1 / (l.dim * product @ w)
+    K = 1 / np.vecdot(l.dim * product, w)  # one dot per row: the same in any chunk
     residual = np.max(np.abs(f - K[:, None] * product), axis=1)
     log_f = np.log(K)[:, None] + np.polynomial.legendre.legval(t, kernel).sum(axis=1)
     values = -l.dim * np.einsum("sn,sn,n->s", f, log_f, w)

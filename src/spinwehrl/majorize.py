@@ -1,4 +1,13 @@
-"""Majorization order on spectra and gradient-based entropy minimization."""
+"""Majorization order on spectra and gradient-based entropy minimization.
+
+`minimize_entropy` runs a numpy L-BFGS search from each of its random starts.
+Each search is a generator that yields the points it needs valued, so the
+searches of a group of starts advance in lockstep: one stacked objective call
+per round values the pending point of every search, and each search keeps its
+own correction pairs, line search and stops. The objectives (`objective_fn`)
+take one point or a stack: the exact Wehrl entropy and its gradient from the
+Husimi zeros, or a Gram-spectrum entropy through one stacked eigh.
+"""
 
 from __future__ import annotations
 
@@ -10,7 +19,7 @@ import numpy as np
 
 from . import channels, entropy
 from .coherent import closest_coherent
-from .su2 import PureState, SphereDirection, SpinLabel
+from .su2 import STATE_CHUNK, PureState, SphereDirection, SpinLabel
 
 #: Largest twice_l `minimize_entropy` accepts; the CLI checks it before sampling.
 OPTIMIZER_MAX_TWICE_L = 16
@@ -73,48 +82,53 @@ class OptimizationResult:
 
 
 def _real_gradient(g: np.ndarray) -> np.ndarray:
-    """Gradient in x = (Re v, Im v) of a real function with dS/dv* = g."""
-    return 2 * np.concatenate([g.real, g.imag])
+    """Gradient in x = (Re v, Im v) of a real function with dS/dv* = g, row by
+    row along the last axis."""
+    return 2 * np.concatenate([g.real, g.imag], axis=-1)
 
 
 def _gram_search(l: SpinLabel, factor):
     """Search function of the entropy of G = A(v)^dag A(v) / |v|^2 for a factor A
-    linear in v; the gradient is Hellmann-Feynman through one eigh."""
+    linear in v; the gradient is Hellmann-Feynman through one eigh, stacked
+    over the rows of x."""
     d = l.dim
     basis = [PureState(l, e) for e in np.eye(d)]
     support = np.logical_or.reduce([factor(e) != 0 for e in basis])
     B = np.stack([factor(e)[support] for e in basis])  # A(e_i) on the joint support
 
     def search(x):
-        v = x[:d] + 1j * x[d:]
-        n = np.vdot(v, v).real
-        A = np.zeros(support.shape, dtype=complex)
-        A[support] = np.einsum("i,ik->k", v, B)
-        lam, U = np.linalg.eigh(A.conj().T @ A / n)
+        v = x[..., :d] + 1j * x[..., d:]
+        n = np.vecdot(v, v).real[..., None]
+        A = np.zeros(v.shape[:-1] + support.shape, dtype=complex)
+        A[..., support] = np.einsum("...i,ik->...k", v, B)
+        lam, U = np.linalg.eigh(A.conj().swapaxes(-1, -2) @ A / n[..., None])
         # the one clamp rule, back in eigh's ascending order to stay paired with U
-        lam = entropy.clamp_eigenvalues(lam)[::-1]
+        lam = entropy.clamp_eigenvalues(lam)[..., ::-1]
         # M = U diag(dlam) U^dag; the floor under the logarithm only touches
         # terms that vanish with their eigenvalue, as x ln x -> 0
-        dlam = 1 + np.log(np.maximum(lam, np.finfo(float).tiny))
-        AM = A @ ((U * dlam) @ U.conj().T)
-        adjoint = np.einsum("ik,k->i", B, AM[support].conj()).conj()  # A^*(A M)
-        grad = -(adjoint - v * np.sum(lam * dlam)) / n
-        return entropy.entropy_of_spectrum(lam), _real_gradient(grad)
+        log_lam = np.log(np.maximum(lam, np.finfo(float).tiny))
+        dlam = 1 + log_lam
+        AM = A @ ((U * dlam[..., None, :]) @ U.conj().swapaxes(-1, -2))
+        adjoint = np.einsum("ik,...k->...i", B, AM[..., support].conj()).conj()  # A^*(A M)
+        grad = -(adjoint - v * np.sum(lam * dlam, axis=-1)[..., None]) / n
+        return -np.sum(lam * log_lam, axis=-1), _real_gradient(grad)
 
     return search
 
 
 def objective_fn(l: SpinLabel, objective):
     """The function x -> (entropy, gradient in x) of an entropy objective over
-    pure states, where x holds the amplitudes x[:d] + i x[d:] of any norm.
+    pure states, where x holds the amplitudes x[:d] + i x[d:] of any norm: one
+    point, shape (2d,), or a stack of them, shape (k, 2d), valued row by row
+    in one call, to shapes (k,) and (k, 2d).
 
     The value is the one the library reports for the normalized state: the
     exact pure-state Wehrl entropy, or the entropy of the Gram spectrum."""
     d = l.dim
     if objective == "wehrl":
         def search(x):
-            value, grad = entropy.wehrl_pure_gradient(l, x[:d] + 1j * x[d:])
-            return value, _real_gradient(grad)
+            values, grads = entropy.wehrl_pure_gradient(l, x[..., :d] + 1j * x[..., d:])
+            return values, _real_gradient(grads)
 
         return search
     if objective == "angular":
@@ -137,17 +151,19 @@ def _cubic_minimizer(a, fa, ga, b, fb, gb) -> float:
     return b - (b - a) * (gb + d2 - d1) / den if den else math.nan
 
 
-def _wolfe_step(fun, x, f, slope, d, t):
+def _wolfe_step(x, f, slope, d, t):
     """A point x + t d that meets the weak Wolfe conditions, given the slope
     g.d < 0 at x, as (x, f, g); None if none is found in
-    _LINE_SEARCH_MAX_EVALS evaluations. From the trial step t it extrapolates
-    until a step fails sufficient decrease, then brackets, both by safeguarded
-    cubic interpolation on the values and slopes at the last two steps."""
+    _LINE_SEARCH_MAX_EVALS evaluations. A generator, as `_lbfgs`: it yields
+    each trial point and is sent its (value, gradient). From the trial step t
+    it extrapolates until a step fails sufficient decrease, then brackets,
+    both by safeguarded cubic interpolation on the values and slopes at the
+    last two steps."""
     lo = (0.0, f, slope)  # meets sufficient decrease but still descends steeply
     hi = None  # fails sufficient decrease, or is not finite
     for _ in range(_LINE_SEARCH_MAX_EVALS):
         x_t = x + t * d
-        f_t, g_t = fun(x_t)
+        f_t, g_t = yield x_t
         slope_t = float(g_t @ d)
         if not f_t <= f + _WOLFE_C1 * t * slope:
             hi = (t, f_t, slope_t)
@@ -181,15 +197,18 @@ def _two_loop(pairs, gamma: float, g: np.ndarray) -> np.ndarray:
     return q
 
 
-def _lbfgs(fun, x):
-    """Minimize fun (x -> (value, gradient)) from x by limited-memory BFGS
-    with the last _LBFGS_MEMORY correction pairs, scaled by gamma = s.y / y.y
-    of the newest, and a weak Wolfe line search from the unit step, or from a
-    step of unit length along -g while the memory is empty. A failed line
-    search clears the memory; one with an empty memory ends the search
-    unconverged. Returns (x, f, iterations, converged)."""
+def _lbfgs(x):
+    """Minimize a function from x by limited-memory BFGS with the last
+    _LBFGS_MEMORY correction pairs, scaled by gamma = s.y / y.y of the newest,
+    and a weak Wolfe line search from the unit step, or from a step of unit
+    length along -g while the memory is empty. A failed line search clears the
+    memory; one with an empty memory ends the search unconverged.
+
+    A generator: it yields each point to evaluate and is sent the function's
+    (value, gradient) there (`_lockstep` drives it); it returns (x, f,
+    iterations, converged)."""
     ftol, gtol = _LBFGS_OPTIONS["ftol"], _LBFGS_OPTIONS["gtol"]
-    f, g = fun(x)
+    f, g = yield x
     if np.max(np.abs(g)) <= gtol:
         return x, f, 0, True
     pairs = deque(maxlen=_LBFGS_MEMORY)
@@ -202,7 +221,7 @@ def _lbfgs(fun, x):
         if slope < 0:
             if -t * slope <= ftol * max(abs(f), 1):
                 return x, f, iterations, True  # the step's linear decrease is below ftol
-            step = _wolfe_step(fun, x, f, slope, d, t)
+            step = yield from _wolfe_step(x, f, slope, d, t)
         if step is None:
             if not pairs:
                 return x, f, iterations, False
@@ -222,15 +241,38 @@ def _lbfgs(fun, x):
     return x, f, iterations, False
 
 
+def _lockstep(search, starts) -> list:
+    """Results of the `_lbfgs` generators `starts`, run together. Each round
+    values the pending point of every search that has not finished in one call
+    of the stacked `search` and sends each search its own row, copied, so that
+    no search keeps a round's whole stack alive. Every search keeps its own
+    memory, line search and stops; only the calls are shared."""
+    results = [None] * len(starts)
+    pending = {i: next(start) for i, start in enumerate(starts)}
+    while pending:
+        values, grads = search(np.stack(list(pending.values())))
+        for i, f, g in zip(list(pending), values.tolist(), grads):
+            try:
+                pending[i] = starts[i].send((f, g.copy()))
+            except StopIteration as done:
+                del pending[i]
+                results[i] = done.value
+    return results
+
+
 def minimize_entropy(l: SpinLabel, objective, restarts: int = 16, seed: int = 0) -> OptimizationResult:
     """Multi-start L-BFGS minimization, with analytic gradients, of an entropy
     functional over pure states of spin l.
 
     `objective` is "wehrl", "angular", or ("projection", SpinLabel) with
-    twice_j <= channels.MAX_PROJECTION_TWICE_J. Restart seeds are spawned
-    from the master seed via numpy's SeedSequence, so a fixed (restarts, seed)
-    pair is fully deterministic. The winner is the lowest value, ties broken
-    by lowest restart index.
+    twice_j <= channels.MAX_PROJECTION_TWICE_J. Start i draws its point from
+    SeedSequence(seed, spawn_key=(i,)), the i-th child that numpy's
+    SeedSequence(seed).spawn gives, so a fixed (restarts, seed) pair is fully
+    deterministic. The starts run in groups of at most STATE_CHUNK, each
+    group's searches in lockstep (`_lockstep`): one stacked objective call per
+    round values every pending point, so memory stays bounded at any number
+    of restarts. The winner is the lowest value, ties broken by lowest restart
+    index.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
@@ -243,13 +285,15 @@ def minimize_entropy(l: SpinLabel, objective, restarts: int = 16, seed: int = 0)
     best = None
     total_iters = 0
     any_converged = False
-    for start in np.random.SeedSequence(seed).spawn(restarts):
-        x0 = np.random.default_rng(start).standard_normal(2 * d)
-        x, value, iterations, converged = _lbfgs(search, x0)
-        total_iters += iterations
-        any_converged = any_converged or converged
-        if best is None or value < best[0]:
-            best = (value, x[:d] + 1j * x[d:])
+    for first in range(0, restarts, STATE_CHUNK):
+        starts = [_lbfgs(np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+                         .standard_normal(2 * d))
+                  for i in range(first, min(first + STATE_CHUNK, restarts))]
+        for x, value, iterations, converged in _lockstep(search, starts):
+            total_iters += iterations
+            any_converged = any_converged or converged
+            if best is None or value < best[0]:
+                best = (value, x[:d] + 1j * x[d:])
     psi = PureState(l, best[1], normalize=True)
     direction, fidelity = closest_coherent(psi)
     return OptimizationResult(psi, float(best[0]), total_iters, restarts,

@@ -21,6 +21,10 @@ import numpy as np
 
 HERMITICITY_TOL = 1e-12
 EIGENVALUE_CLAMP = 1e-12
+#: Most states held at a time by the CLI's sampling commands (drawn and
+#: valued) and by the optimizer's lockstep groups of starts, which bounds
+#: their memory at any --samples or --restarts.
+STATE_CHUNK = 256
 
 
 @dataclass(frozen=True)

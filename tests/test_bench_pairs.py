@@ -1,4 +1,6 @@
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -71,3 +73,28 @@ def test_unresolved_when_the_parent_spreads_past_the_bound():
         pair["change"] = _run(200 + i, 1.0 + i / 100)
     out = bench_pairs.summary(pairs)
     assert out["items_per_s"]["unresolved"] is False and out["items_per_s"]["beyond_parent_iqr"] is True
+
+
+def test_out_is_written_after_every_pair(tmp_path, monkeypatch):
+    # the third run fails: the record keeps the first pair and its summary
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        calls.append((checkout.name, seed))
+        if len(calls) == 3:
+            raise subprocess.CalledProcessError(1, "bench/run.py")
+        return _run(100.0 + seed, 1.0)
+
+    monkeypatch.setattr(bench_pairs, "run", fake_run)
+    out = tmp_path / "pairs.json"
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "scan-wehrl",
+            "--seeds", "1-3", "--seconds", "1", "--out", str(out)]
+    with pytest.raises(subprocess.CalledProcessError):
+        bench_pairs.main(argv)
+    entry = json.loads(out.read_text())["workloads"]["scan-wehrl"]
+    assert [p["seed"] for p in entry["pairs"]] == [1]
+    assert entry["summary"]["items_per_s"]["change_wins"] == "0/1"
+    # a rerun on the next seeds adds to the kept pair
+    calls.clear()
+    bench_pairs.main(argv[:5] + ["2-2"] + argv[6:])
+    assert [p["seed"] for p in json.loads(out.read_text())["workloads"]["scan-wehrl"]["pairs"]] == [1, 2]

@@ -133,11 +133,11 @@ def test_figure_projection_matches_dense_recomputation(tmp_path):
 
 
 def test_figure_projection_memory_stays_with_the_chunk(tmp_path):
-    # amplitudes and density matrices are drawn and evaluated _SAMPLE_CHUNK
+    # amplitudes and density matrices are drawn and evaluated STATE_CHUNK
     # states at a time and each row is written as it comes, so five chunks
     # peak about where one does; the first chunk's rows do not change
     peaks, texts = [], []
-    for samples in (cli._SAMPLE_CHUNK, 5 * cli._SAMPLE_CHUNK):
+    for samples in (cli.STATE_CHUNK, 5 * cli.STATE_CHUNK):
         out_file = tmp_path / f"fig{samples}.csv"
         argv = ["figure-projection", "--twice-l", "1", "--samples", str(samples),
                 "--j-list", "1", "--seed", "2", "--out", str(out_file)]
@@ -147,7 +147,7 @@ def test_figure_projection_memory_stays_with_the_chunk(tmp_path):
         tracemalloc.stop()
         texts.append(out_file.read_text().splitlines())
     assert peaks[1] < 1.5 * peaks[0], peaks
-    assert len(texts[1]) == 5 * cli._SAMPLE_CHUNK + 1
+    assert len(texts[1]) == 5 * cli.STATE_CHUNK + 1
     assert texts[1][:len(texts[0])] == texts[0]
 
 

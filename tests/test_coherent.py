@@ -210,6 +210,22 @@ def test_closest_coherent_is_polished_on_the_amplitudes(tl, gate):
         assert geodesic_angle(found, d) < 1e-6
 
 
+def test_closest_coherent_starts_on_the_highest_peak_at_large_spin():
+    # the overlap's peaks narrow as 1/sqrt(2l): from the 32 x 64 grid, 5 of
+    # these 16 Haar states at twice_l = 400 ended on a lower peak, 1.9e-4 to
+    # 4.9e-3 below the maximum of |<n|psi>|^2 on a 128 x 256 grid; the start
+    # grid now narrows with the peaks
+    spin = SpinLabel(400)
+    radial = _amplitudes(spin, np.arccos(np.linspace(1, -1, 128)), np.zeros(1))[:, 0]  # (128, d)
+    phase = np.exp(-1j * np.outer(2 * pi * np.arange(256) / 256, np.arange(200, -201, -1)))  # (256, d)
+    for seed in (440, 450):
+        rng = np.random.default_rng(seed)
+        for psi in [random_pure(spin, rng) for _ in range(8)]:
+            fine = np.max(np.abs((radial * psi.amplitudes.conj()) @ phase.T) ** 2)
+            _, fid = closest_coherent(psi)
+            assert fid >= fine - 1e-12, (seed, fine - fid)
+
+
 def test_coherent_state_past_the_float_range_is_refused():
     # sqrt C(2100, 1050) overflows in the radial amplitudes; the state used to
     # come back with every amplitude NaN

@@ -206,7 +206,9 @@ def test_wehrl_batch_chunks_within_the_byte_guard(monkeypatch):
 
     monkeypatch.setattr(entropy, "_exact_wehrl", recording_exact)
     whole = wehrl_pure_batch(spin, amps)
-    assert rows == [16]  # the benchmark's largest batch stays one chunk
+    # 1 MiB of per-row arrays holds 13 rows at twice_l = 8, where the
+    # benchmark's batches have 4
+    assert rows == [13, 3]
     grid, row = entropy._exact_bytes(spin)
     monkeypatch.setattr(entropy, "MAX_GRID_BYTES", grid + 5 * row)
     rows.clear()
@@ -327,7 +329,7 @@ def test_clipped_ring_level_matches_the_xlogy_oracle():
 
 @pytest.mark.parametrize("cache,args", [(entropy._ring_tables, (SpinLabel(4), 7)),
                                         (entropy._exact_grid, (SpinLabel(3),)),
-                                        (coherent._majorana_weights, (4,)), (coherent._start_grid, ())])
+                                        (coherent._majorana_weights, (4,)), (coherent._start_grid, (2,))])
 def test_per_spin_caches_are_read_only_and_cleared(cache, args):
     first = cache(*args)
     assert all(not x.flags.writeable for x in (first if isinstance(first, tuple) else (first,)))
@@ -423,10 +425,35 @@ def test_wehrl_pure_batch_agrees_with_scalar():
 def test_wehrl_pure_batch_chunks_match_one_call(monkeypatch):
     rng = np.random.default_rng(12)
     spin = SpinLabel(3)
-    amps = np.array([random_pure(spin, rng).amplitudes for _ in range(entropy._WEHRL_CHUNK + 44)])
+    row = entropy._exact_bytes(spin)[1]
+    amps = np.array([random_pure(spin, rng).amplitudes for _ in range(entropy._exact_chunk(spin) + 44)])
     chunked = wehrl_pure_batch(spin, amps)
-    monkeypatch.setattr(entropy, "_WEHRL_CHUNK", len(amps))
+    monkeypatch.setattr(entropy, "_EXACT_CHUNK_BYTES", len(amps) * row)
     assert np.max(np.abs(chunked - wehrl_pure_batch(spin, amps))) < 1e-14
+
+
+def test_wehrl_pure_batch_footprint_chunks_match_single_rows():
+    # at twice_l = 16 a chunk holds 2 rows; each row's value is its own
+    rng = np.random.default_rng(14)
+    spin = SpinLabel(16)
+    states = [random_pure(spin, rng) for _ in range(40)]
+    assert entropy._exact_chunk(spin) == 2
+    batch = wehrl_pure_batch(spin, np.array([s.amplitudes for s in states]))
+    assert np.max(np.abs(batch - [wehrl_pure(s) for s in states])) <= 1e-15
+
+
+def test_stacked_gradient_matches_single_rows():
+    # the rows of one stacked call, in footprint chunks, against one call per
+    # row: values and gradients, at any norm
+    rng = np.random.default_rng(15)
+    for tl, rows in ((3, 5), (16, 5)):
+        spin = SpinLabel(tl)
+        v = 1.7 * np.array([random_pure(spin, rng).amplitudes for _ in range(rows)])
+        values, grads = entropy.wehrl_pure_gradient(spin, v)
+        single = [entropy.wehrl_pure_gradient(spin, u) for u in v]
+        assert values.shape == (rows,) and grads.shape == v.shape
+        assert np.max(np.abs(values - [s[0] for s in single])) <= 1e-15
+        assert np.max(np.abs(grads - [s[1] for s in single])) <= 1e-14
 
 
 def test_wehrl_pure_batch_memory_does_not_grow_with_rows():

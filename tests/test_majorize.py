@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -116,9 +118,9 @@ def test_gram_search_rejects_non_psd_spectrum(objective, monkeypatch):
     search = objective_fn(SpinLabel(2), objective)
     eigh = np.linalg.eigh
 
-    def shifted(matrix):
-        lam, U = eigh(matrix)
-        return np.concatenate([[-1e-9], lam[1:]]), U
+    def shifted(matrices):
+        lam, U = eigh(matrices)
+        return np.concatenate([np.full(lam.shape[:-1] + (1,), -1e-9), lam[..., 1:]], axis=-1), U
 
     monkeypatch.setattr(np.linalg, "eigh", shifted)
     with pytest.raises(ValueError, match="clamp window"):
@@ -178,7 +180,8 @@ def test_minimize_is_deterministic():
 
 def counted_objectives(monkeypatch) -> list:
     """Patch `majorize.objective_fn` so that each search function it builds
-    counts its evaluations; returns the counts, one per function built."""
+    counts its evaluations, the rows of the stacks it values; returns the
+    counts, one per function built."""
     counts, build = [], majorize.objective_fn
 
     def counting(l, objective):
@@ -186,7 +189,7 @@ def counted_objectives(monkeypatch) -> list:
         counts.append(0)
 
         def counted(x):
-            counts[i] += 1
+            counts[i] += len(np.atleast_2d(x))
             return search(x)
 
         return counted
@@ -219,10 +222,65 @@ def test_failed_line_search_returns_unconverged(monkeypatch):
     # a gradient that the constant value never follows: no step meets
     # sufficient decrease, so each start spends one evaluation and a full line
     # search, keeps its start point and reports no convergence
-    monkeypatch.setattr(majorize, "objective_fn", lambda l, objective: lambda x: (1.0, np.ones_like(x)))
+    monkeypatch.setattr(majorize, "objective_fn",
+                        lambda l, objective: lambda x: (np.ones(len(x)), np.ones_like(x)))
     counts = counted_objectives(monkeypatch)
     res = minimize_entropy(SpinLabel(2), "wehrl", restarts=3, seed=0)
     assert res.converged is False and res.iterations == 0 and res.best_value == 1.0
     assert counts == [3 * (1 + majorize._LINE_SEARCH_MAX_EVALS)]
     x0 = np.random.default_rng(np.random.SeedSequence(0).spawn(3)[0]).standard_normal(6)
     assert np.allclose(res.best_state.amplitudes, (x0[:3] + 1j * x0[3:]) / np.linalg.norm(x0))
+
+
+@pytest.mark.parametrize("twice_l, objective", [
+    (2, "wehrl"), (3, "wehrl"), (8, "wehrl"), (4, "angular"), (2, ("projection", SpinLabel(20))),
+], ids=str)
+def test_lockstep_starts_match_their_solo_runs(twice_l, objective):
+    # each search keeps its own arithmetic: only the objective calls are shared
+    l = SpinLabel(twice_l)
+    search = objective_fn(l, objective)
+    starts = [np.random.default_rng(s).standard_normal(2 * l.dim) for s in np.random.SeedSequence(0).spawn(6)]
+    group = majorize._lockstep(search, [majorize._lbfgs(x0) for x0 in starts])
+    assert len({iterations for _, _, iterations, _ in group}) > 1  # the searches leave at different rounds
+    for x0, (_, value, iterations, converged) in zip(starts, group):
+        [(_, solo_value, solo_iterations, solo_converged)] = majorize._lockstep(search, [majorize._lbfgs(x0)])
+        assert abs(value - solo_value) <= 1e-12
+        assert (iterations, converged) == (solo_iterations, solo_converged)
+
+
+def test_group_boundary_keeps_the_best_value_and_iterations(monkeypatch):
+    l = SpinLabel(3)
+    whole = minimize_entropy(l, "wehrl", restarts=7, seed=5)
+    rows, build = [], majorize.objective_fn
+
+    def recording(l, objective):
+        search = build(l, objective)
+
+        def recorded(x):
+            rows.append(len(x))
+            return search(x)
+
+        return recorded
+
+    monkeypatch.setattr(majorize, "objective_fn", recording)
+    monkeypatch.setattr(majorize, "STATE_CHUNK", 3)
+    grouped = minimize_entropy(l, "wehrl", restarts=7, seed=5)
+    assert max(rows) == 3 and rows.count(1) >= 1  # groups of 3, 3 and 1
+    assert abs(grouped.best_value - whole.best_value) <= 1e-12
+    assert grouped.iterations == whole.iterations
+
+
+def test_memory_does_not_grow_with_restarts(monkeypatch):
+    # starts run in groups, and their seeds are made one group at a time
+    monkeypatch.setattr(majorize, "STATE_CHUNK", 32)
+    l = SpinLabel(2)
+    minimize_entropy(l, "wehrl", restarts=2, seed=0)  # caches built outside the measurement
+    peaks = []
+    for restarts in (32, 4 * 32):
+        tracemalloc.start()
+        try:
+            minimize_entropy(l, "wehrl", restarts=restarts, seed=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.2 * peaks[0], peaks

@@ -7,7 +7,8 @@ Each pair runs ``bench/run.py`` of each checkout on the same seed, the parent
 first on even pairs and the change first on odd ones. Every run's last output
 line (the runner's JSON result) is kept. ``--out`` is read first if it exists,
 so one record can hold several workloads, and new pairs of a workload are added
-to its earlier ones. The summary gives each side's median and quartiles per
+to its earlier ones. It is written again after every pair, so an interrupted or
+failed run keeps the pairs measured before it. The summary gives each side's median and quartiles per
 end-to-end metric over all pairs, the pairs the change wins, the parent's
 quartile distance (`parent_iqr`), whether a gain may be claimed
 (`beyond_parent_iqr`: the change wins at least nine tenths of the pairs and its
@@ -92,10 +93,10 @@ def main(argv=None) -> int:
         for side in order:
             pair[side] = run(getattr(args, side), args.workload, seed, args.seconds)
         pairs.append(pair)
+        entry["summary"] = summary(pairs)
+        args.out.write_text(json.dumps(record, indent=1) + "\n")
         print(f"{args.workload} seed {seed}: " + ", ".join(
             f"{side} {pair[side]['metrics']['items_per_s']['value']:.4g}/s" for side in order), flush=True)
-    entry["summary"] = summary(pairs)
-    args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
 
